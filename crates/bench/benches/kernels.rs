@@ -1,5 +1,5 @@
-//! Raw-speed kernel benchmark: scalar vs SIMD `dot4` SpMV and scalar CSR vs
-//! blocked BSR on the paper's operators.
+//! Raw-speed kernel benchmark: scalar per-row vs across-row SIMD SpMV and
+//! scalar CSR vs blocked BSR on the paper's operators.
 //!
 //! Every kernel under test is *bit-identical* to the scalar `dot4` baseline
 //! — this benchmark is a pure wall-clock comparison, no accuracy axis.
@@ -117,7 +117,7 @@ fn main() {
 
     let mut cases = Vec::new();
 
-    // Scalar stencil: the SIMD dot4 axis on the 27-point Laplacian.
+    // Scalar stencil: the across-row SIMD axis on the 27-point Laplacian.
     for &n in sizes {
         let a = TestSet::TwentySevenPt.matrix(n);
         let x = asyncmg_problems::rhs::random_rhs(a.ncols(), 1);

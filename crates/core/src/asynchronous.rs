@@ -608,6 +608,9 @@ fn solve_async_impl<P: Probe + ?Sized>(
         "fault injection requires asynchronous execution (a crashed team would deadlock the \
          synchronous driver's global barriers)"
     );
+    // For the smoothed methods this call is also what builds `P̄`/`R̄`
+    // (`MgSetup` makes them on first use): it must stay ahead of the team
+    // spawn below so no racing worker ever pays, or blocks on, that build.
     let work = setup.work_estimates(opts.method.uses_smoothed_interpolants());
     let layout = GridTeamLayout::build(&work, opts.n_threads);
     // The production scheduler is built here (team sizes are only known
@@ -1131,6 +1134,7 @@ fn correction_phase<P: Probe + ?Sized>(
     let k = grid.k;
     let ell = setup.n_levels() - 1;
     let smoothed = opts.method.uses_smoothed_interpolants();
+    debug_assert!(!smoothed || ell == 0 || setup.smoothed_built(), "P̄ must be built before teams");
     // Phase timing by the team master only: it participates in every team
     // barrier, so its wall time spans the team-parallel phase.
     let timing = shared.probe.enabled() && ctx.is_team_master();

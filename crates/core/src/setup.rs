@@ -3,6 +3,7 @@
 use asyncmg_amg::{smoothed_interpolants, Hierarchy, InterpSmoothing};
 use asyncmg_smoothers::{LevelSmoother, SmootherKind};
 use asyncmg_sparse::{Csr, Kernel};
+use std::sync::OnceLock;
 
 /// How the coarsest-grid equations `A_ℓ e = r_ℓ` are solved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,13 +66,16 @@ impl Default for MgOptions {
     }
 }
 
-/// Everything precomputed before solving: the hierarchy, smoothed
-/// interpolants, and per-level smoothers.
+/// Everything precomputed before solving: the hierarchy and per-level
+/// smoothers, plus the smoothed interpolants once a method asks for them.
 pub struct MgSetup {
     /// The AMG hierarchy (operators, interpolants, coarse LU).
     pub hierarchy: Hierarchy,
-    /// Smoothed interpolants `(P̄_k, R̄_k = P̄_kᵀ)` for `k = 0..ℓ−1`.
-    pub p_bar: Vec<(Csr, Csr)>,
+    /// Smoothed interpolants `(P̄_k, R̄_k = P̄_kᵀ)` for `k = 0..ℓ−1`, built
+    /// on first use (see [`MgSetup::p_bar`]): on 27pt they hold more entries
+    /// than the fine operator, and the multiplicative solvers never read
+    /// them.
+    p_bar: OnceLock<Vec<(Csr, Csr)>>,
     /// One smoother per level.
     pub smoothers: Vec<LevelSmoother>,
     /// The options this setup was built with.
@@ -81,11 +85,6 @@ pub struct MgSetup {
 impl MgSetup {
     /// Builds the setup from a hierarchy.
     pub fn new(hierarchy: Hierarchy, opts: MgOptions) -> Self {
-        let interp_kind = match opts.smoother {
-            SmootherKind::L1Jacobi => InterpSmoothing::L1Jacobi,
-            _ => InterpSmoothing::WJacobi { omega: opts.interp_omega },
-        };
-        let p_bar = smoothed_interpolants(&hierarchy, interp_kind);
         // The hierarchy caches each level's diagonal; building smoothers
         // from it avoids re-searching every matrix row.
         let smoothers = hierarchy
@@ -93,7 +92,30 @@ impl MgSetup {
             .iter()
             .map(|l| LevelSmoother::with_diag(&l.a, &l.diag, opts.smoother, opts.nblocks))
             .collect();
-        MgSetup { hierarchy, p_bar, smoothers, opts }
+        MgSetup { hierarchy, p_bar: OnceLock::new(), smoothers, opts }
+    }
+
+    /// The smoothed interpolants, built by whichever caller asks first.
+    ///
+    /// The threaded additive solvers must not pay this build (a sparse
+    /// product per level) on a racing team thread — under a virtual
+    /// scheduler a team blocked on the `OnceLock` would stall the schedule.
+    /// `solve_async_*` therefore calls [`work_estimates`](Self::work_estimates)
+    /// with `smoothed = true` on the calling thread before it spawns teams,
+    /// which lands here first; the team workers only ever find it built.
+    fn smoothed(&self) -> &[(Csr, Csr)] {
+        self.p_bar.get_or_init(|| {
+            let kind = match self.opts.smoother {
+                SmootherKind::L1Jacobi => InterpSmoothing::L1Jacobi,
+                _ => InterpSmoothing::WJacobi { omega: self.opts.interp_omega },
+            };
+            smoothed_interpolants(&self.hierarchy, kind)
+        })
+    }
+
+    /// Whether `P̄`/`R̄` have been built yet.
+    pub(crate) fn smoothed_built(&self) -> bool {
+        self.p_bar.get().is_some()
     }
 
     /// Rebuilds the per-level smoothers with a different block count (used
@@ -139,14 +161,16 @@ impl MgSetup {
         self.hierarchy.levels[k].r.as_ref().expect("no R on coarsest level")
     }
 
-    /// Smoothed prolongation `P̄_{k+1}^k`.
+    /// Smoothed prolongation `P̄_{k+1}^k` (the first call to this,
+    /// [`r_bar`](Self::r_bar) or a smoothed [`grid_work`](Self::grid_work)
+    /// builds all of them).
     pub fn p_bar(&self, k: usize) -> &Csr {
-        &self.p_bar[k].0
+        &self.smoothed()[k].0
     }
 
     /// Smoothed restriction `P̄ᵀ`.
     pub fn r_bar(&self, k: usize) -> &Csr {
-        &self.p_bar[k].1
+        &self.smoothed()[k].1
     }
 
     /// Estimated flops for one correction of grid `k` under the given
@@ -157,11 +181,7 @@ impl MgSetup {
         let mut flops = 0.0;
         // Restriction down and prolongation up through levels 0..k.
         for j in 0..k {
-            let nnz = if smoothed && j < self.p_bar.len() {
-                self.p_bar[j].0.nnz()
-            } else {
-                self.hierarchy.levels[j].p.as_ref().map_or(0, |p| p.nnz())
-            };
+            let nnz = if smoothed { self.p_bar(j).nnz() } else { self.p(j).nnz() };
             flops += 4.0 * nnz as f64; // down + up, 2 flops per nnz
         }
         // Smoothing / solve at level k (+ level k+1 for AFACx-style work).
@@ -194,7 +214,7 @@ mod tests {
     fn setup_has_consistent_shapes() {
         let s = setup();
         let ell = s.n_levels() - 1;
-        assert_eq!(s.p_bar.len(), ell);
+        assert_eq!(s.smoothed().len(), ell);
         assert_eq!(s.smoothers.len(), ell + 1);
         for k in 0..ell {
             assert_eq!(s.p(k).nrows(), s.a(k).nrows());
@@ -220,6 +240,69 @@ mod tests {
             .iter()
             .zip(s_l1.p_bar(0).vals())
             .any(|(a, b)| (a - b).abs() > 1e-12));
+    }
+
+    fn bits(a: &Csr) -> (Vec<u32>, Vec<u32>, Vec<u64>) {
+        (a.row_ptr().to_vec(), a.col_idx().to_vec(), a.vals().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn lazy_interpolants_equal_the_eager_build_bitwise() {
+        let a = laplacian_7pt(8, 8, 8);
+        let h = build_hierarchy(a, &AmgOptions::default());
+        for (smoother, kind) in [
+            (SmootherKind::WJacobi { omega: 0.9 }, InterpSmoothing::WJacobi { omega: 0.7 }),
+            (SmootherKind::L1Jacobi, InterpSmoothing::L1Jacobi),
+        ] {
+            let opts = MgOptions { smoother, interp_omega: 0.7, ..Default::default() };
+            let s = MgSetup::new(h.clone(), opts);
+            assert!(!s.smoothed_built());
+            let eager = smoothed_interpolants(&h, kind);
+            assert_eq!(eager.len(), s.n_levels() - 1);
+            for (k, (p_bar, r_bar)) in eager.iter().enumerate() {
+                assert_eq!(bits(s.p_bar(k)), bits(p_bar), "P̄_{k} {kind:?}");
+                assert_eq!(bits(s.r_bar(k)), bits(r_bar), "R̄_{k} {kind:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mult_solves_leave_interpolants_unbuilt() {
+        let s = setup();
+        let b = asyncmg_problems::rhs::random_rhs(s.n(), 3);
+        let probe = asyncmg_telemetry::NoopProbe;
+        let seq = crate::mult::solve_mult_probed(&s, &b, 3, None, &probe);
+        let par = crate::parallel_mult::solve_mult_threaded_probed(&s, &b, 2, 3, None, &probe);
+        assert!(seq.history[2] < 1.0 && par.relres < 1.0);
+        assert!(!s.smoothed_built());
+    }
+
+    /// The ordering `solve_async_*` relies on: its `work_estimates(true)`
+    /// call, made before any team thread exists, is what builds `P̄`; the
+    /// plain estimate does not.
+    #[test]
+    fn smoothed_work_estimate_builds_interpolants_plain_does_not() {
+        let s = setup();
+        s.work_estimates(false);
+        assert!(!s.smoothed_built());
+        s.work_estimates(true);
+        assert!(s.smoothed_built());
+    }
+
+    #[test]
+    fn racing_first_uses_observe_one_build() {
+        let s = setup();
+        let gate = std::sync::Barrier::new(2);
+        let (a, b) = std::thread::scope(|sc| {
+            let racer = || {
+                gate.wait();
+                s.p_bar(0) as *const Csr as usize
+            };
+            let (ha, hb) = (sc.spawn(racer), sc.spawn(racer));
+            (ha.join().expect("racer panicked"), hb.join().expect("racer panicked"))
+        });
+        assert_eq!(a, b);
+        assert_eq!(a, s.p_bar(0) as *const Csr as usize);
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * the **serial/parallel crossover** for the setup-phase kernels (the
 //!   smallest matrix where a 2-thread transpose beats the serial one), which
 //!   drives [`auto_setup_threads`](crate::parallel::auto_setup_threads);
-//! * the **scalar/SIMD speedup** of the `dot4` SpMV path;
+//! * the **scalar/SIMD speedup** of the across-row kernels — the stencil
+//!   plan's SpMV against scalar per-row dots on a banded operator (the
+//!   per-row `dot4` is scalar on x86-64 in either mode, see [`crate::simd`]);
 //! * the **CSR/BSR speedup** on a 3×3 block-dense operator, which drives
 //!   `KernelSelect::Auto`.
 //!
@@ -61,8 +63,9 @@ pub struct HostFingerprint {
     pub arch: String,
     /// Available hardware parallelism (`nproc`).
     pub nproc: usize,
-    /// Best SIMD path this CPU supports (`avx512`, `avx2`, `neon` or
-    /// `scalar`) — independent of the current runtime mode.
+    /// Best instruction set the explicit-SIMD kernels can use on this CPU
+    /// (`avx512`, `avx2`, `neon` or `scalar`) — independent of the current
+    /// runtime mode.
     pub simd: String,
 }
 
@@ -86,11 +89,13 @@ pub struct Calibration {
     pub min_nnz_per_thread: usize,
     /// Largest setup-kernel team worth forking on this host.
     pub max_setup_threads: usize,
-    /// Measured SIMD-over-scalar SpMV speedup (1.0 when unsupported).
+    /// Measured speedup of the across-row (stencil-plan) SpMV over scalar
+    /// per-row dots on a banded operator (1.0 when unsupported). Says
+    /// nothing about the per-row `dot4`, which has no SIMD variant on x86-64.
     pub simd_speedup: f64,
     /// Measured BSR-over-CSR SpMV speedup on a 3×3 block operator.
     pub bsr_speedup: f64,
-    /// Whether `KernelSelect::Auto` should take the SIMD path.
+    /// Whether the across-row kernels paid off here (`simd_speedup` ≥ 1.05).
     pub use_simd: bool,
     /// Whether `KernelSelect::Auto` should install BSR operators.
     pub use_bsr: bool,
@@ -98,8 +103,9 @@ pub struct Calibration {
 
 impl Default for Calibration {
     /// The built-in assumptions used when no calibration is cached: the
-    /// historical 64 Ki-nnz crossover, up to 8 setup threads, and "SIMD and
-    /// BSR are worth it wherever supported/applicable".
+    /// historical 64 Ki-nnz crossover, up to 8 setup threads, and "the
+    /// across-row SIMD kernels and BSR are worth it wherever
+    /// supported/applicable".
     fn default() -> Calibration {
         Calibration {
             fingerprint: HostFingerprint::current(),
@@ -209,7 +215,8 @@ impl Calibration {
     pub fn measure() -> Calibration {
         let fp = HostFingerprint::current();
 
-        // --- scalar vs SIMD SpMV on a 27-entry banded operator ---
+        // --- scalar per-row dots vs the across-row stencil plan (what
+        //     `Force` selects on a banded operator) on 27-entry rows ---
         let a = banded_csr(24_000, 27);
         let x = vec![1.0 / 3.0; a.ncols()];
         let mut y = vec![0.0; a.nrows()];

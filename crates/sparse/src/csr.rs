@@ -6,11 +6,12 @@
 
 use crate::atomic::AtomicF64Vec;
 // The shared sparse dot kernel `Σ_k vals[k] · x[col[k]]` lives in the `simd`
-// module (scalar reference + bit-identical AVX2/NEON paths). Every row-dot
-// kernel of [`Csr`] — serial, ranged and atomic — funnels through its
-// accumulation order, so sequential and thread-team solves stay comparable at
-// round-off level regardless of how rows are partitioned or which instruction
-// set executes them.
+// module (the scalar four-accumulator loop; scalar on x86-64 by measurement,
+// a bit-identical NEON variant on aarch64). Every row-dot kernel of [`Csr`] —
+// serial, ranged and atomic — funnels through its accumulation order, so
+// sequential and thread-team solves stay comparable at round-off level
+// regardless of how rows are partitioned or which instruction set executes
+// them. Explicit SIMD enters only through the across-row stencil plan.
 use crate::simd::dot4;
 use crate::stencil::{StencilPlan, StencilStats};
 use std::sync::OnceLock;

@@ -7,6 +7,11 @@
 //! stream exactly (see [`crate::bsr`]) — so kernel choice affects speed,
 //! never results, and deterministic-replay fingerprints are stable across
 //! the whole kernel axis.
+//!
+//! Explicit SIMD is a separate, process-wide axis ([`crate::simd`]): it
+//! applies where vector lanes map to rows — the across-row stencil plan
+//! behind the CSR range kernels and the AVX-512 3×3 block-row kernel behind
+//! the BSR ones — and never to the per-row dot, which is scalar.
 
 use crate::bsr::Bsr;
 use crate::csr::Csr;

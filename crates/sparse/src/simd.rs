@@ -1,34 +1,40 @@
-//! SIMD execution of the shared sparse-dot kernel `dot4`.
+//! The shared sparse-dot kernel `dot4`, and the process-wide switch for the
+//! explicit-SIMD kernels built around its accumulation order.
 //!
 //! Every row-oriented kernel in this crate accumulates through one scheme:
 //! four independent lanes over the row's nonzeros (entry `k` lands in lane
 //! `k mod 4`), combined as `(a0 + a1) + (a2 + a3) + tail`, where `tail` sums
-//! the last `n mod 4` entries (see [`dot4_scalar`]). That scheme maps exactly
-//! onto a 4-wide `f64` vector register, so the explicit-lane SIMD paths below
-//! are **bit-identical** to the scalar loop: lane `j` performs the same
-//! multiplies and adds in the same order, and the horizontal reduction uses
-//! the same parenthesisation. No FMA is used anywhere — fusing the multiply
-//! and add would change the rounding and break the bit-identity contract the
-//! deterministic-replay harness depends on.
+//! the last `n mod 4` entries (see [`dot4_scalar`]). Any kernel that keeps
+//! lane `j` doing the same multiplies and adds in the same order, and reduces
+//! with the same parenthesisation, is **bit-identical** to that loop. No FMA
+//! is used anywhere — fusing the multiply and add would change the rounding
+//! and break the bit-identity contract the deterministic-replay harness
+//! depends on.
 //!
-//! Paths:
-//! * **x86_64** — AVX2: one 4×u32 column load, one gathered 4×f64 `x` load,
-//!   one 4×f64 value load, vector multiply + add per four nonzeros
-//!   (runtime-detected via `is_x86_feature_detected!`).
-//! * **aarch64** — NEON (baseline on AArch64): two 2×f64 value loads and two
-//!   2-element `x` gathers per four nonzeros, lanes `(a0,a1)`/`(a2,a3)`.
-//! * **everything else** — the scalar unrolled loop.
+//! ## Where SIMD is used, and where it is not
+//!
+//! Explicit SIMD lives only in kernels whose vector lanes map to *rows*, so
+//! every load is contiguous: the across-row stencil plan of
+//! [`crate::stencil`] (AVX-512 / AVX2) and the AVX-512 3×3 block-row kernel
+//! of [`crate::bsr`]. The per-row dot itself is **scalar on x86-64**. Putting
+//! one row's four accumulators in one vector register needs a hardware
+//! gather (`vgatherdpd`) per four nonzeros, and on the reference host that
+//! costs 2.47 ns/nnz against 0.72 ns/nnz for the scalar loop below (27pt
+//! n=24, `Csr::spmv_block(1)`) — a loss no mode or calibration flag should be
+//! able to select, so there is no such kernel. On aarch64 [`dot4`] has a NEON
+//! variant that fetches `x` with scalar loads (no vector gather to lose to).
 //!
 //! Selection is process-global: the `ASYNCMG_SIMD` environment variable
 //! (`off`/`0`/`scalar` disables, `force`/`on`/`1` forces, anything else
 //! auto-detects) read once at first use, overridable at runtime with
-//! [`set_mode`] (a test/bench/calibration knob). Because the SIMD paths are
-//! bit-identical, switching modes never changes any numerical result — only
-//! which instructions produce it.
+//! [`set_mode`] (a test/bench/calibration knob). Because every SIMD kernel is
+//! bit-identical to the scalar one, switching modes never changes any
+//! numerical result — only which instructions produce it.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// How [`dot4`] picks between the scalar and SIMD implementations.
+/// How the explicit-SIMD kernels (stencil plan, BSR block rows, NEON `dot4`)
+/// are picked over their scalar twins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SimdMode {
     /// Use SIMD when the CPU supports it (the default).
@@ -86,7 +92,7 @@ fn resolve_mode() -> u8 {
     MODE.load(Ordering::Relaxed)
 }
 
-/// Whether the vector path is supported by this CPU.
+/// Whether this CPU can run the explicit-SIMD kernels at all.
 #[inline]
 pub fn supported() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -104,7 +110,8 @@ pub fn supported() -> bool {
     }
 }
 
-/// Whether [`dot4`] currently dispatches to the SIMD path.
+/// Whether the explicit-SIMD kernels are currently selected: the mode is not
+/// [`SimdMode::Off`] and the CPU [`supported`] them.
 #[inline]
 pub fn active() -> bool {
     match resolve_mode() {
@@ -131,8 +138,10 @@ pub fn avx512_supported() -> bool {
     }
 }
 
-/// The instruction set [`dot4`] would use right now, for host fingerprints
-/// and bench reports: `"avx512"`, `"avx2"`, `"neon"` or `"scalar"`.
+/// The instruction set the across-row and block-row kernels would use right
+/// now, for host fingerprints and bench reports: `"avx512"`, `"avx2"`,
+/// `"neon"` or `"scalar"`. (The per-row [`dot4`] is scalar on x86-64 whatever
+/// this says.)
 pub fn feature_name() -> &'static str {
     if !active() {
         return "scalar";
@@ -171,7 +180,8 @@ pub fn capability_name() -> &'static str {
 /// in lane `k mod 4`, the last `n mod 4` entries in a separate `tail`
 /// accumulator, combined as `(a0 + a1) + (a2 + a3) + tail`.
 ///
-/// This is the kernel every SIMD path must reproduce bit for bit.
+/// This is the kernel every SIMD path must reproduce bit for bit, and on
+/// x86-64 it *is* [`dot4`].
 #[inline(always)]
 pub fn dot4_scalar(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
     let n = vals.len();
@@ -204,38 +214,6 @@ pub fn dot4_scalar(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
         k += 1;
     }
     (a0 + a1) + (a2 + a3) + tail
-}
-
-/// AVX2 lane-exact `dot4`: per four nonzeros, one 128-bit column load, one
-/// gathered `x` vector, one value vector, `mul` + `add` (no FMA). The vector
-/// accumulator's lane `j` is exactly the scalar `a_j`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot4_avx2(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-    use core::arch::x86_64::*;
-    let n = vals.len();
-    let n4 = n & !3;
-    let mut acc = _mm256_setzero_pd();
-    let mut k = 0;
-    while k < n4 {
-        // SAFETY: `k + 3 < n4 <= n` bounds the 128-bit column load and the
-        // 256-bit value load; every column index is `< x.len()` (validated
-        // by `Csr::from_raw`), bounding the gather.
-        let idx = _mm_loadu_si128(cols.as_ptr().add(k) as *const __m128i);
-        let xv = _mm256_i32gather_pd::<8>(x.as_ptr(), idx);
-        let vv = _mm256_loadu_pd(vals.as_ptr().add(k));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(vv, xv));
-        k += 4;
-    }
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut tail = 0.0f64;
-    while k < n {
-        // SAFETY: `k < n`; column in range as above.
-        tail += *vals.get_unchecked(k) * *x.get_unchecked(*cols.get_unchecked(k) as usize);
-        k += 1;
-    }
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
 /// NEON lane-exact `dot4`: lanes `(a0, a1)` and `(a2, a3)` live in two
@@ -279,26 +257,19 @@ unsafe fn dot4_neon(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
     (a0 + a1) + (a2 + a3) + tail
 }
 
-/// Shared sparse dot kernel `Σ_k vals[k] · x[col[k]]`, dispatching to the
-/// active SIMD path ([`active`]) or the scalar loop. All paths are
-/// bit-identical; see the module docs.
+/// Shared sparse dot kernel `Σ_k vals[k] · x[col[k]]`: [`dot4_scalar`],
+/// except on aarch64 where the bit-identical NEON variant runs while
+/// [`active`]. See the module docs for why x86-64 has no vector variant.
 #[inline(always)]
 pub fn dot4(vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
-    debug_assert_eq!(cols.len(), vals.len());
-    debug_assert!(cols.iter().all(|&c| (c as usize) < x.len()));
-    #[cfg(target_arch = "x86_64")]
-    {
-        if active() {
-            // SAFETY: `active()` implies AVX2 is available; slice lengths
-            // and column ranges checked by the debug_asserts above and
-            // guaranteed by `Csr::from_raw` for matrix-derived calls.
-            return unsafe { dot4_avx2(vals, cols, x) };
-        }
-    }
     #[cfg(target_arch = "aarch64")]
     {
+        debug_assert_eq!(cols.len(), vals.len());
+        debug_assert!(cols.iter().all(|&c| (c as usize) < x.len()));
         if active() {
-            // SAFETY: NEON is baseline on AArch64; bounds as above.
+            // SAFETY: NEON is baseline on AArch64; slice lengths and column
+            // ranges are checked by the debug_asserts above and guaranteed
+            // by `Csr::from_raw` for matrix-derived calls.
             return unsafe { dot4_neon(vals, cols, x) };
         }
     }
@@ -396,10 +367,11 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Satellite: SIMD dot4 bit-identical to the scalar fallback at every
+        // The lane contract: dot4 bit-identical to dot4_scalar at every
         // lane remainder 0..=7 (lengths 4·blocks + rem cover each remainder
         // class with and without a full vector body), on random values,
-        // random gather patterns and every mode.
+        // random column patterns and every mode. Trivially true on x86-64,
+        // where dot4 is the scalar loop; load-bearing for NEON on aarch64.
         #[test]
         fn dot4_bit_identical_across_modes(
             rem in 0usize..8,
