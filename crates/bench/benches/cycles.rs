@@ -4,11 +4,11 @@
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::additive::{solve_additive_probed, AdditiveMethod};
-use asyncmg_core::asynchronous::{solve_async_probed, AsyncOptions};
+use asyncmg_core::asynchronous::{solve_async, AsyncOptions};
 use asyncmg_core::mult::solve_mult_probed;
-use asyncmg_core::parallel_mult::solve_mult_threaded_probed;
+use asyncmg_core::parallel_mult::solve_mult_threaded;
 use asyncmg_core::setup::{MgOptions, MgSetup};
-use asyncmg_core::NoopProbe;
+use asyncmg_core::{ExecEnv, NoopProbe};
 use asyncmg_problems::{rhs::random_rhs, TestSet};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -43,14 +43,15 @@ fn bench_cycles(c: &mut Criterion) {
     });
 
     c.bench_function("mult_5_cycles_threaded_2t", |bench| {
-        bench.iter(|| solve_mult_threaded_probed(&setup, black_box(&b), 2, 5, None, &NoopProbe));
+        let env = ExecEnv::default();
+        bench.iter(|| solve_mult_threaded(&setup, black_box(&b), 2, 5, None, &NoopProbe, env));
     });
 
     c.bench_function("async_multadd_5_corrections_2t", |bench| {
         let mut opts = AsyncOptions::default();
         opts.t_max = 5;
         opts.n_threads = 2;
-        bench.iter(|| solve_async_probed(&setup, black_box(&b), &opts, &NoopProbe));
+        bench.iter(|| solve_async(&setup, black_box(&b), &opts, &NoopProbe, ExecEnv::default()));
     });
 }
 

@@ -203,7 +203,7 @@ pub fn table_cell(r: &ToleranceResult) -> String {
 pub enum MethodCfg {
     /// Classical multiplicative multigrid, threaded ("sync Mult").
     Mult,
-    /// An additive configuration run by [`asyncmg_core::solve_async_probed`].
+    /// An additive configuration run by [`asyncmg_core::solve_async`].
     Additive(asyncmg_core::AsyncOptions),
 }
 
@@ -280,11 +280,12 @@ pub fn run_method(
     n_threads: usize,
     criterion: asyncmg_core::StopCriterion,
 ) -> (f64, f64, f64) {
-    use asyncmg_core::NoopProbe;
+    use asyncmg_core::{ExecEnv, NoopProbe};
+    let env = ExecEnv::default();
     match cfg {
         MethodCfg::Mult => {
-            let r = asyncmg_core::solve_mult_threaded_probed(
-                setup, b, n_threads, t_max, None, &NoopProbe,
+            let r = asyncmg_core::solve_mult_threaded(
+                setup, b, n_threads, t_max, None, &NoopProbe, env,
             );
             (r.relres, r.elapsed.as_secs_f64(), t_max as f64)
         }
@@ -293,7 +294,7 @@ pub fn run_method(
             opts.t_max = t_max;
             opts.n_threads = n_threads;
             opts.criterion = criterion;
-            let r = asyncmg_core::solve_async_probed(setup, b, &opts, &NoopProbe);
+            let r = asyncmg_core::solve_async(setup, b, &opts, &NoopProbe, env);
             (r.relres, r.elapsed.as_secs_f64(), r.corrects_mean)
         }
     }

@@ -40,7 +40,7 @@ use asyncmg_smoothers::{async_gs_sweep, LevelSmoother, SmootherKind};
 use asyncmg_sparse::{vecops, AtomicF64Vec, Csr};
 use asyncmg_telemetry::{FaultKind, FaultRecord, Phase, Probe};
 use asyncmg_threads::{
-    run_teams_sched, Clock, FaultPlan, GridTeamLayout, OsClock, OsSched, RacyVec, Sched,
+    run_teams_sched, Clock, ExecEnv, FaultPlan, GridTeamLayout, OsClock, OsSched, RacyVec,
     SchedPoint, SpinLock, TeamCtx,
 };
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -478,88 +478,47 @@ impl<P: Probe + ?Sized> Shared<'_, P> {
     }
 }
 
-/// Solves `A x = b` with the threaded additive solver. Every correction,
-/// timed phase and monitor residual sample is reported to `probe`. With
-/// [`NoopProbe`](asyncmg_telemetry::NoopProbe) the hooks compile to nothing.
-pub fn solve_async_probed<P: Probe + ?Sized>(
+/// Solves `A x = b` with the threaded additive solver (Algorithm 5) — the
+/// one public entry point of the family; [`Solver`](crate::Solver) is the
+/// ergonomic front over it.
+///
+/// Every correction, timed phase and monitor residual sample is reported to
+/// `probe`; with [`NoopProbe`](asyncmg_telemetry::NoopProbe) the hooks
+/// compile to nothing. `env` is the execution environment
+/// ([`ExecEnv::default`] = production):
+///
+/// * `env.sched` — under a [`VirtualSched`](asyncmg_threads::VirtualSched)
+///   the whole solve (every barrier, racy read/write, lock acquisition and
+///   end-of-correction yield) is serialized through the scheduler's seeded
+///   PRNG, so the result is a deterministic function of the seed. Caveat:
+///   the asynchronous `StopCriterion::Tolerance` monitor runs on a free
+///   thread outside the scheduler; use `StopCriterion::One`/`Two` for
+///   reproducible runs.
+/// * `env.plan` — a seeded [`FaultPlan`] injecting stragglers, team
+///   crashes, and corrupted or dropped correction writes, with
+///   `opts.recovery` arming the countermeasures. Requires asynchronous
+///   execution (`!opts.sync`): a crashed team would deadlock the global
+///   barriers of the synchronous driver.
+/// * `env.clock` — every time-based decision (the watchdog's `max_wall`
+///   budget, the `max_stall` windows, the sleeps between watchdog polls,
+///   all probe timestamps) reads it; a
+///   [`VirtualClock`](asyncmg_threads::VirtualClock) expires a timeout
+///   deterministically in microseconds (see `docs/robustness.md`).
+pub fn solve_async<P: Probe + ?Sized>(
     setup: &MgSetup,
     b: &[f64],
     opts: &AsyncOptions,
     probe: &P,
+    env: ExecEnv<'_>,
 ) -> AsyncResult {
-    solve_async_impl(setup, b, opts, probe, None, None, None, None)
-}
-
-/// [`solve_async_probed`] under an explicit [`Sched`].
-///
-/// With [`OsSched`] this is exactly the production solver. With a
-/// [`VirtualSched`](asyncmg_threads::VirtualSched) the whole solve — every
-/// barrier, racy read/write, lock acquisition and end-of-correction yield —
-/// is serialized through the scheduler's seeded PRNG, making the
-/// interleaving (and hence the floating-point result and the telemetry
-/// event content) a deterministic function of the seed.
-///
-/// Determinism caveat: the asynchronous `StopCriterion::Tolerance` monitor
-/// runs on a free thread outside the scheduler and samples wall-clock time;
-/// use `StopCriterion::One`/`Two` for reproducible runs.
-pub fn solve_async_sched<P: Probe + ?Sized>(
-    setup: &MgSetup,
-    b: &[f64],
-    opts: &AsyncOptions,
-    probe: &P,
-    sched: &dyn Sched,
-) -> AsyncResult {
-    solve_async_impl(setup, b, opts, probe, Some(sched), None, None, None)
-}
-
-/// The fully general entry point: [`solve_async_sched`] plus an optional
-/// seeded [`FaultPlan`] injecting stragglers, team crashes, and corrupted
-/// or dropped correction writes, with `opts.recovery` arming the
-/// countermeasures.
-///
-/// Fault decisions are pure functions of the plan's seed and the injection
-/// site, so under a `VirtualSched` the whole faulted solve — injection,
-/// detection and recovery included — replays deterministically from
-/// `(plan seed, schedule seed)`. Fault injection requires asynchronous
-/// execution (`!opts.sync`): a crashed team would deadlock the global
-/// barriers of the synchronous driver.
-pub fn solve_async_faulted<P: Probe + ?Sized>(
-    setup: &MgSetup,
-    b: &[f64],
-    opts: &AsyncOptions,
-    probe: &P,
-    sched: Option<&dyn Sched>,
-    plan: Option<&FaultPlan>,
-) -> AsyncResult {
-    solve_async_impl(setup, b, opts, probe, sched, plan, None, None)
-}
-
-/// [`solve_async_faulted`] with an explicit [`Clock`].
-///
-/// Every time-based decision of the solve — the watchdog's `max_wall`
-/// budget, the `max_stall` windows, the sleeps between watchdog polls, and
-/// all probe timestamps — reads this clock. With the default
-/// ([`OsClock`]) the behaviour is exactly [`solve_async_faulted`]; with a
-/// [`VirtualClock`](asyncmg_threads::VirtualClock) the watchdog burns no
-/// wall-clock time and a timeout test expires its budget deterministically
-/// in microseconds (see `docs/robustness.md`).
-pub fn solve_async_clocked<P: Probe + ?Sized>(
-    setup: &MgSetup,
-    b: &[f64],
-    opts: &AsyncOptions,
-    probe: &P,
-    sched: Option<&dyn Sched>,
-    plan: Option<&FaultPlan>,
-    clock: Option<&dyn Clock>,
-) -> AsyncResult {
-    solve_async_impl(setup, b, opts, probe, sched, plan, clock, None)
+    solve_async_impl(setup, b, opts, probe, env, None)
 }
 
 /// The monitor-thread checkpoint hook a resilience session installs: at
 /// `cadence` (and immediately after any quarantine event) the watchdog
 /// snapshots the shared iterate into `store` together with the relative
 /// residual it just computed.
-pub struct CheckpointHook<'a> {
+pub(crate) struct CheckpointHook<'a> {
     /// Where snapshots accumulate (the session keeps the best across
     /// attempts).
     pub store: &'a CheckpointStore,
@@ -569,31 +528,15 @@ pub struct CheckpointHook<'a> {
     pub attempt: u32,
 }
 
-/// [`solve_async_clocked`] with a [`CheckpointHook`]: the resilience
-/// session's internal entry point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_async_hooked<P: Probe + ?Sized>(
+/// [`solve_async`] with a [`CheckpointHook`]: the resilience session's
+/// internal entry point (the hook names a `core` type, so it cannot ride in
+/// the `threads`-level [`ExecEnv`]).
+pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
     setup: &MgSetup,
     b: &[f64],
     opts: &AsyncOptions,
     probe: &P,
-    sched: Option<&dyn Sched>,
-    plan: Option<&FaultPlan>,
-    clock: Option<&dyn Clock>,
-    hook: Option<&CheckpointHook<'_>>,
-) -> AsyncResult {
-    solve_async_impl(setup, b, opts, probe, sched, plan, clock, hook)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn solve_async_impl<P: Probe + ?Sized>(
-    setup: &MgSetup,
-    b: &[f64],
-    opts: &AsyncOptions,
-    probe: &P,
-    sched: Option<&dyn Sched>,
-    plan: Option<&FaultPlan>,
-    clock: Option<&dyn Clock>,
+    env: ExecEnv<'_>,
     hook: Option<&CheckpointHook<'_>>,
 ) -> AsyncResult {
     let n = setup.n();
@@ -602,7 +545,7 @@ fn solve_async_impl<P: Probe + ?Sized>(
     if let Err(msg) = opts.recovery.validate() {
         panic!("invalid RecoveryOptions: {msg}");
     }
-    let plan = plan.filter(|p| !p.is_empty());
+    let plan = env.plan.filter(|p| !p.is_empty());
     assert!(
         plan.is_none() || !opts.sync,
         "fault injection requires asynchronous execution (a crashed team would deadlock the \
@@ -613,16 +556,10 @@ fn solve_async_impl<P: Probe + ?Sized>(
     // spawn below so no racing worker ever pays, or blocks on, that build.
     let work = setup.work_estimates(opts.method.uses_smoothed_interpolants());
     let layout = GridTeamLayout::build(&work, opts.n_threads);
-    // The production scheduler is built here (team sizes are only known
-    // once the layout is) unless the caller supplied one.
-    let os_sched;
-    let sched: &dyn Sched = match sched {
-        Some(s) => s,
-        None => {
-            os_sched = OsSched::for_teams(&layout.sizes);
-            &os_sched
-        }
-    };
+    // The production scheduler (team sizes are only known once the layout
+    // is) is the fallback for an environment that names none.
+    let os_sched = OsSched::for_teams(&layout.sizes);
+    let sched = env.sched.unwrap_or(&os_sched);
 
     let teams: Vec<TeamData> = layout
         .teams
@@ -639,16 +576,10 @@ fn solve_async_impl<P: Probe + ?Sized>(
         })
         .collect();
 
-    // The production clock is built here unless the caller supplied one
-    // (virtual clocks make the watchdog's timeout paths deterministic).
-    let os_clock;
-    let clock: &dyn Clock = match clock {
-        Some(c) => c,
-        None => {
-            os_clock = OsClock::new();
-            &os_clock
-        }
-    };
+    // Likewise the production clock (a virtual one makes the watchdog's
+    // timeout paths deterministic).
+    let os_clock = OsClock::new();
+    let clock = env.clock.unwrap_or(&os_clock);
     let nb = vecops::norm2(b);
     let n_levels = setup.n_levels();
     let shared = Shared {
@@ -1669,6 +1600,7 @@ fn residual_phase_inner<P: Probe + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel_mult::solve_mult_threaded;
     use crate::setup::MgOptions;
     use asyncmg_amg::{build_hierarchy, AmgOptions};
     use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_7pt};
@@ -1680,9 +1612,9 @@ mod tests {
         MgSetup::new(h, MgOptions::default())
     }
 
-    /// Test shorthand for the probed entry point with no probe.
-    fn solve_async(setup: &MgSetup, b: &[f64], opts: &AsyncOptions) -> AsyncResult {
-        solve_async_probed(setup, b, opts, &NoopProbe)
+    /// Test shorthand: no probe, production environment.
+    fn solve(setup: &MgSetup, b: &[f64], opts: &AsyncOptions) -> AsyncResult {
+        solve_async(setup, b, opts, &NoopProbe, ExecEnv::default())
     }
 
     #[test]
@@ -1697,7 +1629,7 @@ mod tests {
             None,
             &NoopProbe,
         );
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions { sync: true, t_max: 8, n_threads: 4, ..Default::default() },
@@ -1715,8 +1647,7 @@ mod tests {
     fn async_local_res_converges() {
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
-        let par =
-            solve_async(&s, &b, &AsyncOptions { t_max: 40, n_threads: 4, ..Default::default() });
+        let par = solve(&s, &b, &AsyncOptions { t_max: 40, n_threads: 4, ..Default::default() });
         assert!(par.relres < 1e-2, "relres {}", par.relres);
         assert!(par.grid_corrections.iter().all(|&c| c == 40));
         assert_eq!(par.corrects_mean, 40.0);
@@ -1729,7 +1660,7 @@ mod tests {
         // pins down the code path without scheduler sensitivity.
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions {
@@ -1750,7 +1681,7 @@ mod tests {
         // only require the run to terminate and report a finite residual.
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions {
@@ -1768,7 +1699,7 @@ mod tests {
     fn async_atomic_write_converges() {
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions {
@@ -1785,7 +1716,7 @@ mod tests {
     fn r_multadd_residual_based_converges() {
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions {
@@ -1803,7 +1734,7 @@ mod tests {
     fn criterion_two_overshoots_t_max() {
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions {
@@ -1823,16 +1754,21 @@ mod tests {
     fn async_afacx_converges() {
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
-        let par = solve_async(
-            &s,
-            &b,
-            &AsyncOptions {
-                method: AdditiveMethod::Afacx,
-                t_max: 40,
-                n_threads: 4,
-                ..Default::default()
-            },
-        );
+        let opts = AsyncOptions {
+            method: AdditiveMethod::Afacx,
+            t_max: 40,
+            n_threads: 4,
+            ..Default::default()
+        };
+        // Where 40 corrections land is the schedule's to decide: the
+        // production run is held only to what no schedule changes, the
+        // accuracy threshold to a seeded one.
+        let os = solve(&s, &b, &opts);
+        assert!(os.relres.is_finite());
+        assert!(os.grid_corrections.iter().all(|&c| c >= 40), "{:?}", os.grid_corrections);
+        let sched = VirtualSched::new(1);
+        let env = ExecEnv { sched: Some(&sched), ..Default::default() };
+        let par = solve_async(&s, &b, &opts, &NoopProbe, env);
         assert!(par.relres < 1e-2, "AFACx relres {}", par.relres);
     }
 
@@ -1848,7 +1784,7 @@ mod tests {
             None,
             &NoopProbe,
         );
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions {
@@ -1875,8 +1811,7 @@ mod tests {
         let s =
             MgSetup::new(h, MgOptions { smoother: SmootherKind::AsyncGs, ..Default::default() });
         let b = random_rhs(s.n(), 3);
-        let par =
-            solve_async(&s, &b, &AsyncOptions { t_max: 40, n_threads: 4, ..Default::default() });
+        let par = solve(&s, &b, &AsyncOptions { t_max: 40, n_threads: 4, ..Default::default() });
         assert!(par.relres < 1e-2, "async GS relres {}", par.relres);
     }
 
@@ -1888,8 +1823,7 @@ mod tests {
         let s =
             MgSetup::new(h, MgOptions { smoother: SmootherKind::HybridJgs, ..Default::default() });
         let b = random_rhs(s.n(), 3);
-        let par =
-            solve_async(&s, &b, &AsyncOptions { t_max: 40, n_threads: 4, ..Default::default() });
+        let par = solve(&s, &b, &AsyncOptions { t_max: 40, n_threads: 4, ..Default::default() });
         assert!(par.relres < 1e-2, "hybrid JGS relres {}", par.relres);
     }
 
@@ -1897,8 +1831,7 @@ mod tests {
     fn more_threads_than_grids_is_fine() {
         let s = setup_n(5);
         let b = random_rhs(s.n(), 1);
-        let par =
-            solve_async(&s, &b, &AsyncOptions { t_max: 10, n_threads: 8, ..Default::default() });
+        let par = solve(&s, &b, &AsyncOptions { t_max: 10, n_threads: 8, ..Default::default() });
         assert!(par.relres < 1e-1);
     }
 
@@ -1909,8 +1842,7 @@ mod tests {
         let s = MgSetup::new(h, MgOptions::default());
         assert!(s.n_levels() >= 2);
         let b = random_rhs(s.n(), 1);
-        let par =
-            solve_async(&s, &b, &AsyncOptions { t_max: 10, n_threads: 1, ..Default::default() });
+        let par = solve(&s, &b, &AsyncOptions { t_max: 10, n_threads: 1, ..Default::default() });
         assert!(par.relres < 1e-1, "relres {}", par.relres);
         assert!(par.grid_corrections.iter().all(|&c| c == 10));
     }
@@ -1920,7 +1852,7 @@ mod tests {
         let s = setup_n(6);
         let b = random_rhs(s.n(), 3);
         let seq = crate::mult::solve_mult_probed(&s, &b, 5, None, &NoopProbe);
-        let par = crate::parallel_mult::solve_mult_threaded_probed(&s, &b, 4, 5, None, &NoopProbe);
+        let par = solve_mult_threaded(&s, &b, 4, 5, None, &NoopProbe, ExecEnv::default());
         assert!(
             (par.relres - seq.final_relres()).abs() < 1e-10 * seq.final_relres().max(1e-20),
             "threaded {} vs sequential {}",
@@ -1937,7 +1869,7 @@ mod tests {
         let s =
             MgSetup::new(h, MgOptions { smoother: SmootherKind::HybridJgs, ..Default::default() });
         let b = random_rhs(s.n(), 3);
-        let par = crate::parallel_mult::solve_mult_threaded_probed(&s, &b, 4, 20, None, &NoopProbe);
+        let par = solve_mult_threaded(&s, &b, 4, 20, None, &NoopProbe, ExecEnv::default());
         assert!(par.relres < 1e-7, "relres {}", par.relres);
     }
 
@@ -1966,7 +1898,7 @@ mod tests {
             None,
             &NoopProbe,
         );
-        let par = solve_async(
+        let par = solve(
             &s,
             &b,
             &AsyncOptions {
@@ -2035,7 +1967,8 @@ mod tests {
         sched_seed: u64,
     ) -> AsyncResult {
         let sched = VirtualSched::new(sched_seed);
-        solve_async_faulted(s, b, opts, &NoopProbe, Some(&sched), Some(plan))
+        let env = ExecEnv { sched: Some(&sched), plan: Some(plan), ..Default::default() };
+        solve_async(s, b, opts, &NoopProbe, env)
     }
 
     #[test]
@@ -2048,7 +1981,7 @@ mod tests {
             recovery: RecoveryOptions::defended(),
             ..Default::default()
         };
-        let res = solve_async_probed(&s, &b, &opts, &NoopProbe);
+        let res = solve(&s, &b, &opts);
         assert!(res.faults.is_empty(), "no faults injected, none should be logged");
         assert_eq!(res.outcome, SolveOutcome::MaxIterations);
         assert!(res.outcome.is_ok());
@@ -2171,7 +2104,7 @@ mod tests {
             recovery: RecoveryOptions { max_wall: Some(Duration::ZERO), ..Default::default() },
             ..Default::default()
         };
-        let res = solve_async_probed(&s, &b, &opts, &NoopProbe);
+        let res = solve(&s, &b, &opts);
         assert_eq!(res.outcome, SolveOutcome::Faulted);
         assert!(res.faults.iter().any(|f| matches!(f.kind, FaultKind::Timeout)));
         assert!(

@@ -15,7 +15,9 @@
 //! * [`asynchronous`] / [`parallel_mult`] — the shared-memory thread-team
 //!   implementations (Section IV, Algorithm 5): global-res / local-res,
 //!   lock-write / atomic-write, the residual-based `r-Multadd`, both stop
-//!   criteria, and the synchronous threaded baselines,
+//!   criteria, and the synchronous threaded baselines — one entry point
+//!   per family ([`solve_async`], [`solve_mult_threaded`]), each taking the
+//!   scheduler / clock / fault plan it runs under as one [`ExecEnv`],
 //! * [`solver`] — the unified [`Solver`] builder that dispatches to any of
 //!   the above, with tolerance-based stopping and telemetry
 //!   (`asyncmg-telemetry`) on every backend.
@@ -68,8 +70,8 @@ pub mod workspace;
 
 pub use additive::{grid_correction, solve_additive_probed, AdditiveMethod, SolveResult};
 pub use asynchronous::{
-    solve_async_clocked, solve_async_faulted, solve_async_probed, solve_async_sched, AsyncOptions,
-    AsyncResult, CheckpointHook, RecoveryOptions, ResComp, SolveOutcome, StopCriterion, WriteMode,
+    solve_async, AsyncOptions, AsyncResult, RecoveryOptions, ResComp, SolveOutcome, StopCriterion,
+    WriteMode,
 };
 pub use batch::{
     mult_vcycle_block, solve_mult_batch, solve_mult_batch_with, BatchResult, BatchSpec,
@@ -81,7 +83,7 @@ pub use krylov::{
 };
 pub use models::{simulate, simulate_mean, ModelKind, ModelOptions, ModelResult};
 pub use mult::{coarse_correction, mult_vcycle, solve_mult_probed};
-pub use parallel_mult::{solve_mult_threaded_probed, solve_mult_threaded_sched};
+pub use parallel_mult::solve_mult_threaded;
 pub use resilience::{
     AttemptReport, Checkpoint, CheckpointStats, CheckpointStore, EscalationReason, RetryPolicy,
     Rung, SessionError, SessionGoal, SessionReport, ShardAttempt, ShardAttemptOutcome,
@@ -98,4 +100,4 @@ pub use asyncmg_sparse::CsrError;
 pub use asyncmg_telemetry::{
     FaultKind, FaultRecord, NoopProbe, Phase, Probe, SolveTrace, TelemetryProbe,
 };
-pub use asyncmg_threads::{Clock, Corruption, Fault, FaultPlan, OsClock, VirtualClock};
+pub use asyncmg_threads::{Clock, Corruption, ExecEnv, Fault, FaultPlan, OsClock, VirtualClock};

@@ -11,7 +11,7 @@ use crate::setup::{CoarseSolve, MgSetup};
 use asyncmg_smoothers::{LevelSmoother, SmootherKind};
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
-use asyncmg_threads::{run_teams_sched, OsSched, RacyVec, Sched};
+use asyncmg_threads::{run_teams_sched, ExecEnv, OsSched, RacyVec};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -43,35 +43,33 @@ impl SharedWorkspace {
 }
 
 /// Threaded multiplicative V-cycles with tolerance-based early stopping
-/// and telemetry. When `tol` is set (or `probe` records), the master computes
-/// the exact relative residual at the end of every cycle — an extra fine-
-/// grid SpMV that the plain fixed-cycle run does not pay — samples it into
-/// `probe`, and stops all threads once it is below `tol`.
-pub fn solve_mult_threaded_probed<P: Probe + ?Sized>(
+/// and telemetry — the one public entry point of the family. When `tol` is
+/// set (or `probe` records), the master computes the exact relative residual
+/// at the end of every cycle — an extra fine-grid SpMV that the plain
+/// fixed-cycle run does not pay — samples it into `probe`, and stops all
+/// threads once it is below `tol`.
+///
+/// The cycle is fully barriered, so any `env.sched` produces the same bits;
+/// a [`VirtualSched`](asyncmg_threads::VirtualSched) makes the run
+/// deterministic end to end. `env.clock` is unused (nothing here waits on
+/// time), and `env.plan` must be empty: a crashed rank would deadlock the
+/// barriers, exactly as in the asynchronous driver's `sync` mode.
+pub fn solve_mult_threaded<P: Probe + ?Sized>(
     setup: &MgSetup,
     b: &[f64],
     n_threads: usize,
     t_max: usize,
     tol: Option<f64>,
     probe: &P,
+    env: ExecEnv<'_>,
 ) -> AsyncResult {
-    let sched = OsSched::for_teams(&[n_threads]);
-    solve_mult_threaded_sched(setup, b, n_threads, t_max, tol, probe, &sched)
-}
-
-/// [`solve_mult_threaded_probed`] under an explicit [`Sched`]. The cycle is
-/// fully barriered, so any schedule produces the same result; a
-/// [`VirtualSched`](asyncmg_threads::VirtualSched) makes the run
-/// deterministic end to end.
-pub fn solve_mult_threaded_sched<P: Probe + ?Sized>(
-    setup: &MgSetup,
-    b: &[f64],
-    n_threads: usize,
-    t_max: usize,
-    tol: Option<f64>,
-    probe: &P,
-    sched: &dyn Sched,
-) -> AsyncResult {
+    assert!(
+        env.plan.is_none_or(|p| p.is_empty()),
+        "fault injection requires the asynchronous solver (a crashed rank would deadlock the \
+         multiplicative cycle's barriers)"
+    );
+    let os_sched = OsSched::for_teams(&[n_threads]);
+    let sched = env.sched.unwrap_or(&os_sched);
     let n = setup.n();
     let ell = setup.n_levels() - 1;
     let sizes = setup.hierarchy.level_sizes();

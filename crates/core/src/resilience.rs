@@ -10,8 +10,8 @@
 //!
 //! * [`CheckpointStore`] — best-known-iterate snapshots, fed by the
 //!   watchdog at a configurable cadence (and at quarantine events) through
-//!   a [`CheckpointHook`], and by the
-//!   session at every attempt end. Retries warm-start from the best
+//!   a crate-private checkpoint hook, and by the session at every attempt
+//!   end. Retries warm-start from the best
 //!   checkpoint instead of from zero (rollback-to-best-known).
 //! * [`RetryPolicy`] — bounded attempts, exponential backoff between them,
 //!   and an overall deadline whose remainder is split evenly across the
@@ -26,7 +26,7 @@
 //!
 //! Every time-based decision of the session — backoff sleeps, the deadline,
 //! checkpoint timestamps — goes through the session's
-//! [`Clock`], so a test can drive the whole retry
+//! [`Clock`](asyncmg_threads::Clock), so a test can drive the whole retry
 //! schedule with a [`VirtualClock`](asyncmg_threads::VirtualClock) without
 //! sleeping wall-clock time. A session seeded with
 //! [`Solver::session_seed`](crate::Solver::session_seed) replays
@@ -36,7 +36,7 @@
 
 use crate::additive::AdditiveMethod;
 use crate::asynchronous::{
-    solve_async_hooked, AsyncOptions, CheckpointHook, RecoveryOptions, SolveOutcome, StopCriterion,
+    solve_async_impl, AsyncOptions, CheckpointHook, RecoveryOptions, SolveOutcome, StopCriterion,
     WriteMode,
 };
 use crate::krylov::{pcg_probed, VCyclePrec};
@@ -48,7 +48,7 @@ use asyncmg_telemetry::{
     AttemptRecord, FaultKind, FaultRecord, NoopProbe, Probe, ResidualSample, SolveTrace,
     TelemetryProbe,
 };
-use asyncmg_threads::{Clock, OsClock, Sched, VirtualSched};
+use asyncmg_threads::{ExecEnv, OsClock, Sched, VirtualSched};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -70,9 +70,8 @@ pub struct Checkpoint {
 /// Keeps the best checkpoint seen so far (lowest finite relative residual),
 /// plus taken/restored counters.
 ///
-/// Shared between the session loop and the watchdog's
-/// [`CheckpointHook`], so offers are
-/// thread-safe; the best-so-far policy means rollback always goes to the
+/// Shared between the session loop and the watchdog's checkpoint hook, so
+/// offers are thread-safe; the best-so-far policy means rollback always goes to the
 /// best known state, never to an older or worse one.
 #[derive(Debug, Default)]
 pub struct CheckpointStore {
@@ -562,17 +561,18 @@ fn run_rung(
             opts.n_threads = solver.threads.max(1);
             opts.sync = rung == Rung::SemiAsync;
             opts.recovery = recovery;
-            let plan = if rung.is_async() { solver.plan } else { None };
-            let vs;
-            let sched: Option<&dyn Sched> = match seed {
-                Some(s) => {
-                    vs = VirtualSched::new(s);
-                    Some(&vs)
-                }
-                None => None,
+            // Per-attempt environment: a scheduler only when seeded (the
+            // solver's own is single-launch), the plan only on rungs that
+            // can survive a crash, and always the OS clock — the session
+            // clock times backoff and deadlines, not the attempt's watchdog.
+            let vs = seed.map(VirtualSched::new);
+            let env = ExecEnv {
+                sched: vs.as_ref().map(|v| v as &dyn Sched),
+                plan: solver.env.plan.filter(|_| rung.is_async()),
+                clock: None,
             };
             let hook = hook.filter(|_| rung.is_async() && !deterministic);
-            let res = solve_async_hooked(setup, r0, &opts, probe, sched, plan, None, hook);
+            let res = solve_async_impl(setup, r0, &opts, probe, env, hook);
             RungRun {
                 dx: res.x,
                 outcome: res.outcome,
@@ -647,14 +647,8 @@ pub(crate) fn run_session_goal(
     let setup = solver.setup;
     let n = setup.n();
     let a0 = setup.a(0);
-    let os_clock;
-    let clock: &dyn Clock = match solver.clock {
-        Some(c) => c,
-        None => {
-            os_clock = OsClock::new();
-            &os_clock
-        }
-    };
+    let os_clock = OsClock::new();
+    let clock = solver.env.clock.unwrap_or(&os_clock);
     let t0 = clock.now_ns();
     let now = || clock.now_ns().saturating_sub(t0);
     let norm_b = vecops::norm2(b).max(1e-300);

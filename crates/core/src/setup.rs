@@ -272,12 +272,13 @@ mod tests {
         let b = asyncmg_problems::rhs::random_rhs(s.n(), 3);
         let probe = asyncmg_telemetry::NoopProbe;
         let seq = crate::mult::solve_mult_probed(&s, &b, 3, None, &probe);
-        let par = crate::parallel_mult::solve_mult_threaded_probed(&s, &b, 2, 3, None, &probe);
+        let env = asyncmg_threads::ExecEnv::default();
+        let par = crate::parallel_mult::solve_mult_threaded(&s, &b, 2, 3, None, &probe, env);
         assert!(seq.history[2] < 1.0 && par.relres < 1.0);
         assert!(!s.smoothed_built());
     }
 
-    /// The ordering `solve_async_*` relies on: its `work_estimates(true)`
+    /// The ordering `solve_async` relies on: its `work_estimates(true)`
     /// call, made before any team thread exists, is what builds `P̄`; the
     /// plain estimate does not.
     #[test]

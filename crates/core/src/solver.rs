@@ -37,17 +37,17 @@
 
 use crate::additive::{solve_additive_probed, AdditiveMethod};
 use crate::asynchronous::{
-    solve_async_clocked, AsyncOptions, AsyncResult, RecoveryOptions, ResComp, SolveOutcome,
-    StopCriterion, WriteMode,
+    solve_async, AsyncOptions, AsyncResult, RecoveryOptions, ResComp, SolveOutcome, StopCriterion,
+    WriteMode,
 };
 use crate::mult::solve_mult_probed;
-use crate::parallel_mult::solve_mult_threaded_probed;
+use crate::parallel_mult::solve_mult_threaded;
 use crate::resilience::{
     run_session, RetryPolicy, Rung, SessionError, SessionReport, ShardRungDriver,
 };
 use crate::setup::MgSetup;
 use asyncmg_telemetry::{FaultRecord, NoopProbe, Probe, SolveTrace, TelemetryProbe};
-use asyncmg_threads::{Clock, FaultPlan};
+use asyncmg_threads::{Clock, ExecEnv, FaultPlan, Sched};
 use std::time::Duration;
 
 /// Which multigrid method the [`Solver`] runs.
@@ -182,13 +182,12 @@ pub struct Solver<'a> {
     pub(crate) criterion: StopCriterion,
     pub(crate) sync: bool,
     pub(crate) recovery: RecoveryOptions,
-    pub(crate) plan: Option<&'a FaultPlan>,
+    pub(crate) env: ExecEnv<'a>,
     pub(crate) probe: Option<&'a dyn Probe>,
     pub(crate) collect_trace: bool,
     pub(crate) retry: RetryPolicy,
     pub(crate) checkpoint_every: Duration,
     pub(crate) session_seed: Option<u64>,
-    pub(crate) clock: Option<&'a dyn Clock>,
     pub(crate) ladder: &'a [Rung],
     pub(crate) shard_driver: Option<&'a dyn ShardRungDriver>,
 }
@@ -209,13 +208,12 @@ impl<'a> Solver<'a> {
             criterion: defaults.criterion,
             sync: defaults.sync,
             recovery: defaults.recovery,
-            plan: None,
+            env: ExecEnv::default(),
             probe: None,
             collect_trace: false,
             retry: RetryPolicy::default(),
             checkpoint_every: Duration::from_millis(5),
             session_seed: None,
-            clock: None,
             ladder: &Rung::LADDER,
             shard_driver: None,
         }
@@ -238,9 +236,11 @@ impl<'a> Solver<'a> {
         }
     }
 
-    /// The injected fault plan, if any (extension-layer hook).
-    pub fn plan_ref(&self) -> Option<&'a FaultPlan> {
-        self.plan
+    /// The execution environment — scheduler, clock, fault plan — every
+    /// threaded backend runs under (extension-layer hook: a
+    /// `.sharded(n)` solve inherits it whole).
+    pub fn env(&self) -> ExecEnv<'a> {
+        self.env
     }
 
     /// Selects the multigrid method.
@@ -332,7 +332,19 @@ impl<'a> Solver<'a> {
     /// injected faults and any recovery actions appear in
     /// [`SolveReport::faults`].
     pub fn fault_plan(mut self, plan: &'a FaultPlan) -> Self {
-        self.plan = Some(plan);
+        self.env.plan = Some(plan);
+        self
+    }
+
+    /// Runs the threaded backends under `sched` instead of a fresh
+    /// [`OsSched`](asyncmg_threads::OsSched) — a seeded
+    /// [`VirtualSched`](asyncmg_threads::VirtualSched) makes a count-based
+    /// run bit-reproducible. A `VirtualSched` drives one launch, so hand
+    /// each `run` its own; the sequential backends have no workers to
+    /// schedule and resilient sessions derive one scheduler per attempt
+    /// from [`Solver::session_seed`], so both ignore this.
+    pub fn sched(mut self, sched: &'a dyn Sched) -> Self {
+        self.env.sched = Some(sched);
         self
     }
 
@@ -374,11 +386,12 @@ impl<'a> Solver<'a> {
     }
 
     /// The clock a resilient session reads for backoff, deadline and
-    /// checkpoint timestamps, and that asynchronous `Solver::run`s hand to
-    /// the watchdog. A [`VirtualClock`](asyncmg_threads::VirtualClock)
-    /// makes every timeout path deterministic and sleep-free.
+    /// checkpoint timestamps, and that `Solver::run` (and a `.sharded(n)`
+    /// solve built from this solver) hands to the watchdog / failure
+    /// detector. A [`VirtualClock`](asyncmg_threads::VirtualClock) makes
+    /// every timeout path deterministic and sleep-free.
     pub fn session_clock(mut self, clock: &'a dyn Clock) -> Self {
-        self.clock = Some(clock);
+        self.env.clock = Some(clock);
         self
     }
 
@@ -473,7 +486,7 @@ impl<'a> Solver<'a> {
                 )));
             }
         }
-        if self.plan.is_some_and(|p| !p.is_empty()) && (self.sync || self.threads == 0) {
+        if self.env.plan.is_some_and(|p| !p.is_empty()) && (self.sync || self.threads == 0) {
             return Err(SolveError::InvalidOptions(
                 "fault injection requires the asynchronous threaded backend".into(),
             ));
@@ -492,6 +505,13 @@ impl<'a> Solver<'a> {
     /// returning a typed [`SolveError`] instead of panicking mid-solve.
     pub fn try_run(&self, b: &[f64]) -> Result<SolveReport, SolveError> {
         self.validate(b)?;
+        // Not in `validate`: a session runs Mult as Multadd on its async
+        // rungs and honours the plan there; here a crashed rank would hang.
+        if self.method == Method::Mult && self.env.plan.is_some_and(|p| !p.is_empty()) {
+            return Err(SolveError::InvalidOptions(
+                "fault injection requires Multadd/AFACx".into(),
+            ));
+        }
         Ok(self.run(b))
     }
 
@@ -526,20 +546,20 @@ impl<'a> Solver<'a> {
                 sequential_report(res, start.elapsed(), self.setup.n_levels(), self.tolerance)
             }
             (threads, None) => {
-                let res = solve_mult_threaded_probed(
+                let res = solve_mult_threaded(
                     self.setup,
                     b,
                     threads,
                     self.t_max,
                     self.tolerance,
                     probe,
+                    self.env,
                 );
                 threaded_report(res, self.tolerance)
             }
             (_, Some(method)) => {
                 let opts = self.async_options(method);
-                let res =
-                    solve_async_clocked(self.setup, b, &opts, probe, None, self.plan, self.clock);
+                let res = solve_async(self.setup, b, &opts, probe, self.env);
                 threaded_report(res, self.tolerance)
             }
         }
@@ -689,6 +709,15 @@ mod tests {
             Solver::new(&s).sync(true).fault_plan(&plan).try_run(&b),
             Err(SolveError::InvalidOptions(_))
         ));
+        // Threaded Mult is barriered end to end: a crashed rank would hang
+        // it, so the plan is rejected rather than silently ignored.
+        assert!(matches!(
+            Solver::new(&s).method(Method::Mult).threads(4).fault_plan(&plan).try_run(&b),
+            Err(SolveError::InvalidOptions(_))
+        ));
+        // ... by `try_run` only: a session honours it on its Multadd rungs.
+        let mult = Solver::new(&s).method(Method::Mult).threads(4).fault_plan(&plan);
+        assert_eq!(mult.validate(&b), Ok(()));
 
         let bad = RecoveryOptions { damping: -1.0, ..Default::default() };
         assert!(matches!(

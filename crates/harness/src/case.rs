@@ -3,8 +3,8 @@
 use crate::fingerprint::fingerprint_run;
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
-    solve_async_faulted, AdditiveMethod, AsyncOptions, AsyncResult, MgOptions, MgSetup,
-    RecoveryOptions, ResComp, StopCriterion, WriteMode,
+    solve_async, AdditiveMethod, AsyncOptions, AsyncResult, MgOptions, MgSetup, RecoveryOptions,
+    ResComp, StopCriterion, WriteMode,
 };
 use asyncmg_problems::elasticity::elasticity_beam;
 use asyncmg_problems::rhs::random_rhs;
@@ -12,7 +12,7 @@ use asyncmg_problems::stencil::{laplacian_27pt, laplacian_7pt};
 use asyncmg_smoothers::SmootherKind;
 use asyncmg_sparse::{simd, KernelSelect};
 use asyncmg_telemetry::TelemetryProbe;
-use asyncmg_threads::{Corruption, Fault, FaultPlan, ReadDelay, VirtualSched};
+use asyncmg_threads::{Corruption, ExecEnv, Fault, FaultPlan, ReadDelay, VirtualSched};
 
 /// The test-problem families the fuzz matrix draws from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -314,7 +314,8 @@ impl FuzzCase {
         };
         let plan = self.fault.plan(sched_seed);
         let mut probe = TelemetryProbe::with_threads(self.n_threads);
-        let result = solve_async_faulted(&setup, &b, &opts, &probe, Some(&sched), plan.as_ref());
+        let env = ExecEnv { sched: Some(&sched), plan: plan.as_ref(), ..Default::default() };
+        let result = solve_async(&setup, &b, &opts, &probe, env);
         let trace = probe.take_trace();
         let decisions = sched.decisions();
         let fingerprint = fingerprint_run(&result, &trace);

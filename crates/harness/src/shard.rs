@@ -22,11 +22,10 @@ use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{MgOptions, MgSetup, SolveOutcome};
 use asyncmg_problems::rhs::random_rhs;
 use asyncmg_shard::{
-    solve_sharded_clocked, RecoveryReport, ShardOptions, ShardRecovery, ShardResult,
-    VirtualTransport,
+    solve_sharded, RecoveryReport, ShardOptions, ShardRecovery, ShardResult, VirtualTransport,
 };
 use asyncmg_telemetry::NoopProbe;
-use asyncmg_threads::{Fault, FaultPlan, VirtualClock, VirtualSched};
+use asyncmg_threads::{ExecEnv, Fault, FaultPlan, VirtualClock, VirtualSched};
 
 /// The network profile of a sharded fuzz run: how the seeded
 /// [`VirtualTransport`] treats data messages.
@@ -236,16 +235,8 @@ impl ShardAxis {
         // The virtual clock makes detector deadlines and retransmit backoff
         // pure functions of the schedule (time only advances on hub polls).
         let clock = VirtualClock::new();
-        let result = solve_sharded_clocked(
-            &setup,
-            &b,
-            &opts,
-            &net,
-            &sched,
-            plan.as_ref(),
-            Some(&clock),
-            &NoopProbe,
-        );
+        let env = ExecEnv { sched: Some(&sched), clock: Some(&clock), plan: plan.as_ref() };
+        let result = solve_sharded(&setup, &b, &opts, &net, &NoopProbe, env);
         let decisions = sched.decisions();
         let fingerprint = fingerprint_sharded(&result);
         ShardRun { result, decisions, fingerprint }

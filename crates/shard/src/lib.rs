@@ -21,7 +21,8 @@
 //!   bits.
 //!
 //! Entry points: [`Solver::sharded`](ShardedExt::sharded) for the builder,
-//! [`solve_sharded_sched`] for explicit transport + scheduler control.
+//! [`solve_sharded`] for explicit transport + execution-environment
+//! ([`ExecEnv`](asyncmg_threads::ExecEnv)) control.
 //!
 //! ```
 //! use asyncmg_core::{MgSetup, Solver};
@@ -52,7 +53,7 @@ pub use msg::Msg;
 pub use recovery::{RecoveryReport, ShardRecovery};
 pub use reduce::{NormReducer, Reduction};
 pub use rung::{sharded_ladder, ShardedRungDriver};
-pub use solve::{solve_sharded_clocked, solve_sharded_sched, ShardOptions, ShardResult};
+pub use solve::{solve_sharded, ShardOptions, ShardResult};
 pub use solver_ext::{Sharded, ShardedExt};
 pub use transport::{RankCounters, Transport, TransportStats};
 pub use virtual_net::VirtualTransport;

@@ -4,7 +4,7 @@
 //! [`Rung::Sharded`] variant but cannot execute it — the core crate has no
 //! dependency on the sharded model. This module closes the loop:
 //! [`ShardedRungDriver`] implements [`ShardRungDriver`] over
-//! [`solve_sharded_clocked`], and [`sharded_ladder`] builds the escalation
+//! [`solve_sharded`], and [`sharded_ladder`] builds the escalation
 //! sequence the paper's resilience story wants — start wide, halve the
 //! shard count on every failed attempt (S → S/2 → … → 1), then fall
 //! through to the existing shared-memory ladder. Every sharded attempt
@@ -14,12 +14,12 @@
 
 use crate::inproc::InProcChannel;
 use crate::recovery::ShardRecovery;
-use crate::solve::{solve_sharded_clocked, ShardOptions};
+use crate::solve::{solve_sharded, ShardOptions};
 use crate::transport::Transport;
 use crate::virtual_net::VirtualTransport;
 use asyncmg_core::{Rung, ShardAttempt, ShardAttemptOutcome, ShardRungDriver};
 use asyncmg_telemetry::NoopProbe;
-use asyncmg_threads::{OsSched, Sched, VirtualClock, VirtualSched};
+use asyncmg_threads::{ExecEnv, VirtualClock, VirtualSched};
 
 /// Executes [`Rung::Sharded`] session rungs with self-healing armed.
 ///
@@ -27,8 +27,8 @@ use asyncmg_threads::{OsSched, Sched, VirtualClock, VirtualSched};
 /// [`VirtualSched`] and [`VirtualTransport`] derived from the attempt seed
 /// plus a [`VirtualClock`] — so a resilient session that degrades through
 /// sharded rungs replays bit-identically. Unseeded sessions run the
-/// production stack: [`InProcChannel`] sized for recovery traffic,
-/// [`OsSched`], OS clock.
+/// production stack: [`InProcChannel`] sized for recovery traffic and
+/// [`ExecEnv::default`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ShardedRungDriver {
     /// Recovery knobs armed for every attempt (default:
@@ -47,40 +47,23 @@ impl ShardRungDriver for ShardedRungDriver {
             ..ShardOptions::default()
         };
         let ranks = n_shards + 1;
-        let result = match at.seed {
-            Some(seed) => {
-                let sched = VirtualSched::new(seed);
-                // Same transport-seed derivation as the harness, so a
-                // session attempt and a standalone replay agree bit for bit.
-                let net =
-                    VirtualTransport::new(ranks, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
-                let clock = VirtualClock::new();
-                solve_sharded_clocked(
-                    at.setup,
-                    at.b,
-                    &opts,
-                    &net as &dyn Transport,
-                    &sched as &dyn Sched,
-                    None,
-                    Some(&clock),
-                    &NoopProbe,
-                )
+        // Same transport-seed derivation as the harness, so a session
+        // attempt and a standalone replay agree bit for bit.
+        let virt = at.seed.map(|seed| {
+            let net = VirtualTransport::new(ranks, seed.wrapping_mul(0x9e37_79b9).wrapping_add(1));
+            (VirtualSched::new(seed), net, VirtualClock::new())
+        });
+        let inproc;
+        let (net, env): (&dyn Transport, ExecEnv<'_>) = match &virt {
+            Some((sched, net, clock)) => {
+                (net, ExecEnv { sched: Some(sched), clock: Some(clock), plan: None })
             }
             None => {
-                let net = InProcChannel::for_epochs_resilient(ranks, at.t_max);
-                let sched = OsSched::for_teams(&vec![1; ranks]);
-                solve_sharded_clocked(
-                    at.setup,
-                    at.b,
-                    &opts,
-                    &net as &dyn Transport,
-                    &sched as &dyn Sched,
-                    None,
-                    None,
-                    &NoopProbe,
-                )
+                inproc = InProcChannel::for_epochs_resilient(ranks, at.t_max);
+                (&inproc, ExecEnv::default())
             }
         };
+        let result = solve_sharded(at.setup, at.b, &opts, net, &NoopProbe, env);
         ShardAttemptOutcome {
             x: result.x,
             outcome: result.outcome,

@@ -62,7 +62,7 @@ use asyncmg_core::{coarse_correction, MgSetup, SolveOutcome, Workspace};
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::{FaultKind, FaultRecord, Probe, SolveTrace};
 use asyncmg_threads::{
-    run_teams_sched, Clock, FaultPlan, OsClock, RacyVec, Sched, SchedPoint, TeamCtx,
+    run_teams_sched, Clock, ExecEnv, FaultPlan, OsClock, OsSched, RacyVec, SchedPoint, TeamCtx,
 };
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -182,37 +182,25 @@ impl Shared<'_> {
     }
 }
 
-/// Runs a sharded solve under an explicit transport and scheduler — the
-/// deterministic entry point ([`Sharded`](crate::Sharded) wraps it with
-/// production defaults). `transport` must connect `opts.n_shards + 1` ranks
-/// (rank `S` is the hub).
-pub fn solve_sharded_sched<P: Probe + ?Sized>(
+/// Runs a sharded solve over an explicit transport — the one public entry
+/// point of the family ([`Sharded`](crate::Sharded) wraps it with a
+/// production transport and validation). `transport` must connect
+/// `opts.n_shards + 1` ranks (rank `S` is the hub).
+///
+/// `env` is the execution environment ([`ExecEnv::default`] = one OS
+/// thread per rank, OS clock, no faults): `env.clock` drives the recovery
+/// layer's silence deadlines and retransmit backoff, `env.plan` injects
+/// faults at the shards' send boundary. A `VirtualSched` +
+/// [`VirtualTransport`](crate::VirtualTransport) +
+/// [`VirtualClock`](asyncmg_threads::VirtualClock) replays full
+/// detect → adopt → converge runs bit-identically.
+pub fn solve_sharded<P: Probe + ?Sized>(
     setup: &MgSetup,
     b: &[f64],
     opts: &ShardOptions,
     transport: &dyn Transport,
-    sched: &dyn Sched,
-    plan: Option<&FaultPlan>,
     probe: &P,
-) -> ShardResult {
-    solve_sharded_clocked(setup, b, opts, transport, sched, plan, None, probe)
-}
-
-/// [`solve_sharded_sched`] with an explicit [`Clock`] driving the recovery
-/// layer's silence deadlines and retransmit backoff. `None` uses a fresh
-/// [`OsClock`]; pass a [`VirtualClock`](asyncmg_threads::VirtualClock)
-/// together with a `VirtualSched` + `VirtualTransport` for bit-identical
-/// replay of full detect → adopt → converge runs.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_sharded_clocked<P: Probe + ?Sized>(
-    setup: &MgSetup,
-    b: &[f64],
-    opts: &ShardOptions,
-    transport: &dyn Transport,
-    sched: &dyn Sched,
-    plan: Option<&FaultPlan>,
-    clock: Option<&dyn Clock>,
-    probe: &P,
+    env: ExecEnv<'_>,
 ) -> ShardResult {
     let n = setup.n();
     let s_count = opts.n_shards;
@@ -225,14 +213,8 @@ pub fn solve_sharded_clocked<P: Probe + ?Sized>(
     let ranges = setup.hierarchy.partitions(s_count)[0].clone();
     let map = ShardMap::new(setup.a(0), ranges);
 
-    let default_clock;
-    let clock: &dyn Clock = match clock {
-        Some(c) => c,
-        None => {
-            default_clock = OsClock::new();
-            &default_clock
-        }
-    };
+    let os_clock = OsClock::new();
+    let clock = env.clock.unwrap_or(&os_clock);
 
     let out = RacyVec::zeros(n);
     let stop_flag = AtomicBool::new(false);
@@ -250,7 +232,7 @@ pub fn solve_sharded_clocked<P: Probe + ?Sized>(
         opts,
         map: &map,
         transport,
-        plan,
+        plan: env.plan,
         out: &out,
         stop_flag: &stop_flag,
         faults: &faults,
@@ -264,6 +246,8 @@ pub fn solve_sharded_clocked<P: Probe + ?Sized>(
     };
 
     let team_sizes = vec![1usize; s_count + 1];
+    let os_sched = OsSched::for_teams(&team_sizes);
+    let sched = env.sched.unwrap_or(&os_sched);
     run_teams_sched(&team_sizes, sched, |ctx| {
         if ctx.team_id < s_count {
             shard_worker(&shared, probe, &ctx, ctx.team_id);

@@ -1,26 +1,29 @@
 //! The ergonomic entry point: [`Solver::sharded`](ShardedExt::sharded).
 //!
 //! [`Sharded`] is a configured sharded solve, built from a core
-//! [`Solver`]'s snapshot ([`SolverConfig`](asyncmg_core::SolverConfig)) so
-//! tolerance, budget and fault
-//! plan carry over. Defaults are production-grade — [`InProcChannel`] sized
-//! for the epoch budget, [`OsSched`] — and both the transport and the
-//! scheduler can be overridden for deterministic testing
-//! ([`VirtualTransport`](crate::VirtualTransport) +
-//! [`VirtualSched`](asyncmg_threads::VirtualSched)).
+//! [`Solver`]: tolerance and budget carry over from its
+//! [`SolverConfig`](asyncmg_core::SolverConfig), and the whole execution
+//! environment — scheduler, clock, fault plan — from [`Solver::env`], so
+//! set those on the `Solver` before `.sharded(n)`. Defaults are
+//! production-grade ([`InProcChannel`] sized for the epoch budget, one OS
+//! thread per rank); deterministic testing swaps in
+//! [`VirtualTransport`](crate::VirtualTransport) here and a
+//! [`VirtualSched`](asyncmg_threads::VirtualSched) /
+//! [`VirtualClock`](asyncmg_threads::VirtualClock) on the `Solver`.
 
 use crate::inproc::InProcChannel;
 use crate::recovery::ShardRecovery;
-use crate::solve::{solve_sharded_clocked, ShardOptions, ShardResult};
+use crate::solve::{solve_sharded, ShardOptions, ShardResult};
 use crate::transport::Transport;
 use asyncmg_core::{MgSetup, SolveError, Solver};
 use asyncmg_telemetry::{NoopProbe, ReductionRecord, TelemetryProbe};
-use asyncmg_threads::{Clock, FaultPlan, OsSched, Sched};
+use asyncmg_threads::ExecEnv;
 
 /// Extends the core [`Solver`] builder with a sharded execution model.
 pub trait ShardedExt<'a> {
     /// A sharded solve over `n_shards` shard workers plus one hub rank,
-    /// inheriting the solver's epoch budget, tolerance and fault plan.
+    /// inheriting the solver's epoch budget, tolerance and execution
+    /// environment (scheduler, clock, fault plan).
     fn sharded(&self, n_shards: usize) -> Sharded<'a>;
 }
 
@@ -35,11 +38,9 @@ impl<'a> ShardedExt<'a> for Solver<'a> {
                 tolerance: cfg.tolerance,
                 ..ShardOptions::default()
             },
-            plan: self.plan_ref(),
+            env: self.env(),
             collect_trace: false,
             transport: None,
-            sched: None,
-            clock: None,
         }
     }
 }
@@ -50,27 +51,12 @@ impl<'a> ShardedExt<'a> for Solver<'a> {
 pub struct Sharded<'a> {
     setup: &'a MgSetup,
     opts: ShardOptions,
-    plan: Option<&'a FaultPlan>,
+    env: ExecEnv<'a>,
     collect_trace: bool,
     transport: Option<&'a dyn Transport>,
-    sched: Option<&'a dyn Sched>,
-    clock: Option<&'a dyn Clock>,
 }
 
 impl<'a> Sharded<'a> {
-    /// Sets the epoch budget per shard.
-    pub fn t_max(mut self, t_max: usize) -> Self {
-        self.opts.t_max = t_max;
-        self
-    }
-
-    /// Sets (or clears) the stopping tolerance on the reduced relative
-    /// residual.
-    pub fn tolerance(mut self, tol: Option<f64>) -> Self {
-        self.opts.tolerance = tol;
-        self
-    }
-
     /// Sets the smoothing sweeps per epoch.
     pub fn sweeps(mut self, sweeps: usize) -> Self {
         self.opts.sweeps = sweeps;
@@ -83,24 +69,9 @@ impl<'a> Sharded<'a> {
         self
     }
 
-    /// Installs (or clears) a fault plan; faults compose at the shard's
-    /// send boundary, independent of the transport.
-    pub fn fault_plan(mut self, plan: Option<&'a FaultPlan>) -> Self {
-        self.plan = plan;
-        self
-    }
-
     /// Overrides the transport. Must connect `n_shards + 1` ranks.
     pub fn transport(mut self, transport: &'a dyn Transport) -> Self {
         self.transport = Some(transport);
-        self
-    }
-
-    /// Overrides the scheduler (e.g. a seeded
-    /// [`VirtualSched`](asyncmg_threads::VirtualSched) for bit-identical
-    /// replay).
-    pub fn sched(mut self, sched: &'a dyn Sched) -> Self {
-        self.sched = Some(sched);
         self
     }
 
@@ -110,15 +81,6 @@ impl<'a> Sharded<'a> {
     /// solve bit-identical to the recovery-free model.
     pub fn recovery(mut self, recovery: Option<ShardRecovery>) -> Self {
         self.opts.recovery = recovery;
-        self
-    }
-
-    /// Overrides the clock that drives the failure detector's silence
-    /// deadlines and retransmit backoff (e.g. a
-    /// [`VirtualClock`](asyncmg_threads::VirtualClock) so recovery replays
-    /// are bit-identical and tests never sleep).
-    pub fn clock(mut self, clock: &'a dyn Clock) -> Self {
-        self.clock = Some(clock);
         self
     }
 
@@ -189,20 +151,10 @@ impl<'a> Sharded<'a> {
                 &default_net
             }
         };
-        let default_sched;
-        let sched: &dyn Sched = match self.sched {
-            Some(s) => s,
-            None => {
-                default_sched = OsSched::for_teams(&vec![1; ranks]);
-                &default_sched
-            }
-        };
 
         let mut result = if self.collect_trace {
             let mut probe = TelemetryProbe::with_threads(ranks);
-            let mut result = solve_sharded_clocked(
-                self.setup, b, o, transport, sched, self.plan, self.clock, &probe,
-            );
+            let mut result = solve_sharded(self.setup, b, o, transport, &probe, self.env);
             let mut trace = probe.take_trace();
             trace.messages = result.stats.to_telemetry();
             // The hub is the reliable sender: attribute its retransmits.
@@ -222,9 +174,7 @@ impl<'a> Sharded<'a> {
             result.trace = Some(trace);
             result
         } else {
-            solve_sharded_clocked(
-                self.setup, b, o, transport, sched, self.plan, self.clock, &NoopProbe,
-            )
+            solve_sharded(self.setup, b, o, transport, &NoopProbe, self.env)
         };
         result.x.shrink_to_fit();
         Ok(result)

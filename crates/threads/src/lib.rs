@@ -27,6 +27,8 @@
 //!   a [`Sched`], so the same solver code runs under the production
 //!   scheduler or under a deterministic seeded one for testing
 //!   ([`run_teams_sched`]),
+//! * [`ExecEnv`] — the `{ sched, clock, plan }` parameter object every
+//!   threaded solver entry point takes (`default()` = production),
 //! * [`FaultPlan`] — seeded, deterministic fault injection (stragglers,
 //!   team crashes, corrupted/dropped writes) whose decisions are pure
 //!   functions of the injection site, composable with either scheduler,
@@ -55,6 +57,6 @@ pub use fault::{Corruption, Fault, FaultPlan};
 pub use lock::SpinLock;
 pub use partition::{chunk_range, GridTeamLayout};
 pub use racy::{RacyBuf, RacyVec};
-pub use sched::{run_teams_sched, OsSched, ReadDelay, Sched, SchedPoint, VirtualSched};
+pub use sched::{run_teams_sched, ExecEnv, OsSched, ReadDelay, Sched, SchedPoint, VirtualSched};
 pub use spsc::SpscRing;
 pub use team::{run_teams, TeamCtx};

@@ -25,6 +25,8 @@
 //! worker's wait state instead of hanging the test suite.
 
 use crate::barrier::SpinBarrier;
+use crate::clock::Clock;
+use crate::fault::FaultPlan;
 use crate::lock::SpinLock;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -131,6 +133,29 @@ impl Sched for OsSched {
     fn unlock(&self, _worker: usize, lock: &SpinLock) {
         lock.unlock();
     }
+}
+
+/// The execution environment of one threaded solve: who schedules the
+/// workers, what time is, and which faults are injected.
+///
+/// [`ExecEnv::default`] is production — the solve builds an [`OsSched`] for
+/// its own team layout and a fresh [`OsClock`](crate::OsClock), and injects
+/// nothing. Tests override single fields:
+/// `ExecEnv { sched: Some(&VirtualSched::new(7)), ..Default::default() }`.
+#[derive(Clone, Copy, Default)]
+pub struct ExecEnv<'a> {
+    /// Scheduler mediating every barrier, lock, racy access and yield. A
+    /// [`VirtualSched`] makes the interleaving (hence the floating-point
+    /// result and the telemetry event content) a function of its seed.
+    pub sched: Option<&'a dyn Sched>,
+    /// Clock behind every time-based decision (watchdog budgets and stall
+    /// windows, detector silence deadlines, retransmit backoff, probe
+    /// timestamps). A [`VirtualClock`](crate::VirtualClock) makes timeout
+    /// paths deterministic and sleep-free.
+    pub clock: Option<&'a dyn Clock>,
+    /// Seeded fault injection; decisions are pure functions of the plan's
+    /// seed and the injection site, so they compose with either scheduler.
+    pub plan: Option<&'a FaultPlan>,
 }
 
 /// Bounded-delay injection at racy-read points (the paper's `δ` model,

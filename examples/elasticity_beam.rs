@@ -6,10 +6,10 @@
 //! ```
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
-use asyncmg_core::asynchronous::{solve_async_probed, AsyncOptions};
+use asyncmg_core::asynchronous::{solve_async, AsyncOptions};
 use asyncmg_core::mult::solve_mult_probed;
 use asyncmg_core::setup::{MgOptions, MgSetup};
-use asyncmg_core::NoopProbe;
+use asyncmg_core::{ExecEnv, NoopProbe};
 use asyncmg_problems::elasticity::{elasticity_beam, BeamMaterials};
 use asyncmg_problems::rhs::random_rhs;
 use asyncmg_smoothers::SmootherKind;
@@ -46,7 +46,7 @@ fn main() {
         let mut opts = AsyncOptions::default();
         opts.t_max = 40;
         opts.n_threads = 4;
-        let asy = solve_async_probed(&setup, &b, &opts, &NoopProbe);
+        let asy = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
         println!("{:<12} {:>14.2e} {:>16.2e}", kind.name(), mult.final_relres(), asy.relres);
     }
 }

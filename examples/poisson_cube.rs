@@ -7,11 +7,11 @@
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::additive::{solve_additive_probed, AdditiveMethod};
-use asyncmg_core::asynchronous::{solve_async_probed, AsyncOptions, ResComp, WriteMode};
+use asyncmg_core::asynchronous::{solve_async, AsyncOptions, ResComp, WriteMode};
 use asyncmg_core::mult::solve_mult_probed;
-use asyncmg_core::parallel_mult::solve_mult_threaded_probed;
+use asyncmg_core::parallel_mult::solve_mult_threaded;
 use asyncmg_core::setup::{MgOptions, MgSetup};
-use asyncmg_core::NoopProbe;
+use asyncmg_core::{ExecEnv, NoopProbe};
 use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_27pt};
 
 fn main() {
@@ -33,7 +33,8 @@ fn main() {
     println!("{:<38} {:>10} {:>9}", "method", "relres", "time");
     let seq = solve_mult_probed(&setup, &b, t_max, None, &NoopProbe);
     println!("{:<38} {:>10.2e} {:>9}", "Mult (sequential)", seq.final_relres(), "-");
-    let m = solve_mult_threaded_probed(&setup, &b, threads, t_max, None, &NoopProbe);
+    let env = ExecEnv::default();
+    let m = solve_mult_threaded(&setup, &b, threads, t_max, None, &NoopProbe, env);
     println!("{:<38} {:>10.2e} {:>8.1?}", "sync Mult (threaded)", m.relres, m.elapsed);
 
     let seq_add =
@@ -62,7 +63,7 @@ fn main() {
         ),
         ("AFACx, lock-write", cfg(&|o| o.method = AdditiveMethod::Afacx)),
     ] {
-        let r = solve_async_probed(&setup, &b, &opts, &NoopProbe);
+        let r = solve_async(&setup, &b, &opts, &NoopProbe, env);
         println!("{label:<38} {:>10.2e} {:>8.1?}", r.relres, r.elapsed);
     }
 }

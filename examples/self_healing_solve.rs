@@ -50,10 +50,10 @@ fn main() {
     let undefended = Solver::new(&setup)
         .tolerance(1e-6)
         .t_max(400)
-        .sharded(n_shards)
         .sched(&sched)
+        .fault_plan(&plan)
+        .sharded(n_shards)
         .transport(&net)
-        .fault_plan(Some(&plan))
         .run(&b);
     println!(
         "undefended : relres {:9.2e} ({:?}) — the dead shard's error is stranded",
@@ -68,12 +68,12 @@ fn main() {
         Solver::new(&setup)
             .tolerance(1e-6)
             .t_max(400)
+            .sched(&sched)
+            .session_clock(&clock)
+            .fault_plan(&plan)
             .sharded(n_shards)
             .recovery(Some(ShardRecovery::default()))
-            .sched(&sched)
-            .clock(&clock)
             .transport(&net)
-            .fault_plan(Some(&plan))
             .run(&b)
     };
     let healed = heal(seed);

@@ -14,9 +14,9 @@
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{MgOptions, MgSetup, Solver};
 use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_27pt};
-use asyncmg_shard::{solve_sharded_sched, ShardOptions, ShardedExt, VirtualTransport};
+use asyncmg_shard::{solve_sharded, ShardOptions, ShardedExt, VirtualTransport};
 use asyncmg_telemetry::NoopProbe;
-use asyncmg_threads::VirtualSched;
+use asyncmg_threads::{ExecEnv, VirtualSched};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -52,7 +52,8 @@ fn main() {
     let lossy = |seed: u64| {
         let net = VirtualTransport::with_profile(n_shards + 1, seed, 12, 0.4);
         let sched = VirtualSched::new(seed);
-        solve_sharded_sched(&setup, &b, &opts, &net, &sched, None, &NoopProbe)
+        let env = ExecEnv { sched: Some(&sched), ..Default::default() };
+        solve_sharded(&setup, &b, &opts, &net, &NoopProbe, env)
     };
     let first = lossy(42);
     let second = lossy(42);

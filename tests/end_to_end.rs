@@ -3,12 +3,13 @@
 use asyncmg_apps::paper_setup;
 use asyncmg_core::additive::{solve_additive_probed, AdditiveMethod};
 use asyncmg_core::asynchronous::{
-    solve_async_probed, AsyncOptions, ResComp, StopCriterion, WriteMode,
+    solve_async, AsyncOptions, AsyncResult, ResComp, StopCriterion, WriteMode,
 };
 use asyncmg_core::mult::solve_mult_probed;
-use asyncmg_core::parallel_mult::solve_mult_threaded_probed;
-use asyncmg_core::NoopProbe;
+use asyncmg_core::parallel_mult::solve_mult_threaded;
+use asyncmg_core::{ExecEnv, MgSetup, NoopProbe};
 use asyncmg_problems::{rhs::random_rhs, TestSet};
+use asyncmg_threads::VirtualSched;
 
 /// Cycle budget and tolerance per test set. Elasticity is the paper's
 /// hardest case: Table I's sync Mult needs 190 V-cycles there, i.e. a
@@ -25,6 +26,21 @@ fn async_opts(f: impl FnOnce(&mut AsyncOptions)) -> AsyncOptions {
     let mut o = AsyncOptions::default();
     f(&mut o);
     o
+}
+
+/// The accuracy a fixed correction count reaches is the schedule's to
+/// decide, so accuracy thresholds are checked under a seeded scheduler.
+fn solve_seeded(s: &MgSetup, b: &[f64], opts: &AsyncOptions) -> AsyncResult {
+    let sched = VirtualSched::new(1);
+    solve_async(s, b, opts, &NoopProbe, ExecEnv { sched: Some(&sched), ..Default::default() })
+}
+
+/// One production-scheduled run, held only to what no schedule changes:
+/// it terminates finite and every grid spent its correction budget.
+fn assert_os_run_completes(s: &MgSetup, b: &[f64], opts: &AsyncOptions) {
+    let res = solve_async(s, b, opts, &NoopProbe, ExecEnv::default());
+    assert!(res.relres.is_finite(), "OS-scheduled relres {}", res.relres);
+    assert!(res.grid_corrections.iter().all(|&c| c >= opts.t_max), "{:?}", res.grid_corrections);
 }
 
 #[test]
@@ -60,8 +76,9 @@ fn async_multadd_converges_on_all_test_sets() {
             o.t_max = cycles + 20;
             o.n_threads = 4;
         });
-        let res = solve_async_probed(&s, &b, &opts, &NoopProbe);
+        let res = solve_seeded(&s, &b, &opts);
         assert!(res.relres < tol * 100.0, "{}: {}", set.name(), res.relres);
+        assert_os_run_completes(&s, &b, &opts);
     }
 }
 
@@ -126,8 +143,9 @@ fn all_async_variants_converge_on_7pt() {
             }),
         ),
     ];
+    assert_os_run_completes(&s, &b, &variants[0].1);
     for (name, opts) in variants {
-        let res = solve_async_probed(&s, &b, &opts, &NoopProbe);
+        let res = solve_seeded(&s, &b, &opts);
         assert!(res.relres < 1e-3, "{name}: {}", res.relres);
     }
 }
@@ -137,7 +155,7 @@ fn threaded_and_sequential_mult_agree_end_to_end() {
     let s = paper_setup(TestSet::TwentySevenPt, 8);
     let b = random_rhs(s.n(), 6);
     let seq = solve_mult_probed(&s, &b, 10, None, &NoopProbe);
-    let par = solve_mult_threaded_probed(&s, &b, 3, 10, None, &NoopProbe);
+    let par = solve_mult_threaded(&s, &b, 3, 10, None, &NoopProbe, ExecEnv::default());
     let denom = seq.final_relres().max(1e-300);
     assert!(
         ((par.relres - seq.final_relres()) / denom).abs() < 1e-8,
@@ -159,7 +177,7 @@ fn solution_vector_actually_solves_the_system() {
         o.t_max = 120;
         o.n_threads = 4;
     });
-    let res = solve_async_probed(&s, &b, &opts, &NoopProbe);
+    let res = solve_async(&s, &b, &opts, &NoopProbe, ExecEnv::default());
     let err: f64 = res.x.iter().zip(&xs).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
     let norm: f64 = xs.iter().map(|v| v * v).sum::<f64>().sqrt();
     assert!(err / norm < 1e-4, "relative error {}", err / norm);

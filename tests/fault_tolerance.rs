@@ -19,7 +19,7 @@
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
-    solve_async_faulted, AdditiveMethod, AsyncOptions, MgOptions, MgSetup, RecoveryOptions,
+    solve_async, AdditiveMethod, AsyncOptions, ExecEnv, MgOptions, MgSetup, RecoveryOptions,
     ResComp, SolveOutcome, StopCriterion, WriteMode,
 };
 use asyncmg_harness::{fingerprint_run, run_fuzz, seeds_from_env, FaultAxis, FuzzCase, Oracle};
@@ -123,7 +123,8 @@ fn killed_team_and_corrupted_write_degrade_deterministically() {
     let run = |sched_seed: u64| {
         let sched = VirtualSched::new(sched_seed);
         let mut probe = TelemetryProbe::with_threads(opts.n_threads);
-        let result = solve_async_faulted(&setup, &b, &opts, &probe, Some(&sched), Some(&plan));
+        let env = ExecEnv { sched: Some(&sched), plan: Some(&plan), ..Default::default() };
+        let result = solve_async(&setup, &b, &opts, &probe, env);
         let trace = probe.take_trace();
         let fp = fingerprint_run(&result, &trace);
         (result, fp)

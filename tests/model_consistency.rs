@@ -3,10 +3,11 @@
 
 use asyncmg_apps::paper_setup;
 use asyncmg_core::additive::{solve_additive_probed, AdditiveMethod};
-use asyncmg_core::asynchronous::{solve_async_probed, AsyncOptions};
+use asyncmg_core::asynchronous::{solve_async, AsyncOptions};
 use asyncmg_core::models::{simulate, simulate_mean, ModelKind, ModelOptions};
-use asyncmg_core::NoopProbe;
+use asyncmg_core::{ExecEnv, NoopProbe};
 use asyncmg_problems::{rhs::random_rhs, TestSet};
+use asyncmg_threads::VirtualSched;
 
 /// `ModelOptions` is `#[non_exhaustive]`: build each variant off the default.
 fn model_opts(f: impl FnOnce(&mut ModelOptions)) -> ModelOptions {
@@ -104,9 +105,17 @@ fn simulation_and_threaded_solver_reach_similar_accuracy() {
     let mut opts = AsyncOptions::default();
     opts.t_max = 20;
     opts.n_threads = 4;
-    let thr = solve_async_probed(&s, &b, &opts, &NoopProbe);
+    // Where 20 corrections land is the schedule's to decide: compare under
+    // a seeded one, and hold the OS-scheduled run only to what no schedule
+    // changes.
+    let sched = VirtualSched::new(1);
+    let env = ExecEnv { sched: Some(&sched), ..Default::default() };
+    let thr = solve_async(&s, &b, &opts, &NoopProbe, env);
     let ratio = (sim.final_relres / thr.relres).max(thr.relres / sim.final_relres);
     assert!(ratio < 1e3, "simulation {} vs threaded {}", sim.final_relres, thr.relres);
+    let os = solve_async(&s, &b, &opts, &NoopProbe, ExecEnv::default());
+    assert!(os.relres.is_finite());
+    assert!(os.grid_corrections.iter().all(|&c| c == 20), "{:?}", os.grid_corrections);
 }
 
 #[test]

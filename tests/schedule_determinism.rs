@@ -5,8 +5,8 @@
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
-    solve_async_probed, solve_async_sched, solve_mult_threaded_probed, solve_mult_threaded_sched,
-    AdditiveMethod, AsyncOptions, MgOptions, MgSetup, NoopProbe, ResComp, WriteMode,
+    solve_async, solve_mult_threaded, AdditiveMethod, AsyncOptions, ExecEnv, Method, MgOptions,
+    MgSetup, NoopProbe, ResComp, Solver, WriteMode,
 };
 use asyncmg_harness::{CaseRun, FuzzCase};
 use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_7pt};
@@ -100,6 +100,15 @@ fn delay_injection_is_deterministic_and_bounded() {
     assert!(r1.result.relres.is_finite());
 }
 
+/// The production environment with only the scheduler replaced.
+fn under(sched: &VirtualSched) -> ExecEnv<'_> {
+    ExecEnv { sched: Some(sched), ..Default::default() }
+}
+
+fn bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
 fn small_setup() -> MgSetup {
     let a = laplacian_7pt(6, 6, 6);
     let h = build_hierarchy(a, &AmgOptions::default());
@@ -119,10 +128,10 @@ fn synchronous_mode_agrees_across_schedules() {
     opts.sync = true;
     opts.t_max = 6;
     opts.n_threads = 4;
-    let os = solve_async_probed(&setup, &b, &opts, &NoopProbe);
+    let os = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
     for seed in [0u64, 9] {
         let sched = VirtualSched::new(seed);
-        let v = solve_async_sched(&setup, &b, &opts, &NoopProbe, &sched);
+        let v = solve_async(&setup, &b, &opts, &NoopProbe, under(&sched));
         assert!(
             (v.relres - os.relres).abs() < 1e-9 * os.relres.max(1e-20),
             "sync relres diverged beyond rounding: virtual {} vs OS {} (seed {seed})",
@@ -130,25 +139,35 @@ fn synchronous_mode_agrees_across_schedules() {
             os.relres
         );
     }
-    let r1 = solve_async_sched(&setup, &b, &opts, &NoopProbe, &VirtualSched::new(5));
-    let r2 = solve_async_sched(&setup, &b, &opts, &NoopProbe, &VirtualSched::new(5));
-    assert_eq!(
-        r1.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        r2.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        "same-seed sync replay was not bit-identical"
-    );
+    let r1 = solve_async(&setup, &b, &opts, &NoopProbe, under(&VirtualSched::new(5)));
+    let r2 = solve_async(&setup, &b, &opts, &NoopProbe, under(&VirtualSched::new(5)));
+    assert_eq!(bits(&r1.x), bits(&r2.x), "same-seed sync replay was not bit-identical");
 }
 
 #[test]
 fn threaded_mult_is_schedule_independent() {
     let setup = small_setup();
     let b = random_rhs(setup.n(), 5);
-    let os = solve_mult_threaded_probed(&setup, &b, 4, 5, None, &NoopProbe);
+    let os = solve_mult_threaded(&setup, &b, 4, 5, None, &NoopProbe, ExecEnv::default());
     let sched = VirtualSched::new(3);
-    let v = solve_mult_threaded_sched(&setup, &b, 4, 5, None, &NoopProbe, &sched);
-    assert_eq!(
-        os.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        v.x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-    );
+    let v = solve_mult_threaded(&setup, &b, 4, 5, None, &NoopProbe, under(&sched));
+    assert_eq!(bits(&os.x), bits(&v.x));
     assert!(sched.steps() > 0, "virtual scheduler made no decisions");
+}
+
+/// The builder reaches the same seam: a seeded scheduler on `Solver` makes
+/// a count-based asynchronous run replay bit for bit.
+#[test]
+fn solver_builder_replays_under_a_seeded_sched() {
+    let setup = small_setup();
+    let b = random_rhs(setup.n(), 11);
+    let run = || {
+        let sched = VirtualSched::new(5);
+        let report = Solver::new(&setup).method(Method::Multadd).threads(4).sched(&sched).run(&b);
+        assert!(sched.steps() > 0, "virtual scheduler made no decisions");
+        report
+    };
+    let (r1, r2) = (run(), run());
+    assert_eq!(bits(&r1.x), bits(&r2.x), "same-seed builder replay was not bit-identical");
+    assert_eq!(r1.grid_corrections, r2.grid_corrections);
 }

@@ -12,7 +12,7 @@
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
-    solve_async_probed, solve_mult_probed, AsyncOptions, MgOptions, MgSetup, ResComp, Solver,
+    solve_async, solve_mult_probed, AsyncOptions, ExecEnv, MgOptions, MgSetup, ResComp, Solver,
     StopCriterion, WriteMode,
 };
 use asyncmg_harness::{check_sharded, FaultAxis, MatrixFamily, NetAxis, ShardAxis};
@@ -150,7 +150,7 @@ fn sharded_agrees_with_shared_memory_models() {
                 // carries no deep-convergence guarantee (the schedule-fuzz
                 // oracle exempts it); bound it, don't compare it.
                 opts.t_max = 16;
-                let result = solve_async_probed(&setup, &b, &opts, &NoopProbe);
+                let result = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
                 assert!(result.relres.is_finite(), "async {write:?}/{res_comp:?} went non-finite");
                 continue;
             }
@@ -159,7 +159,7 @@ fn sharded_agrees_with_shared_memory_models() {
                 relres: 1e-8,
                 check_every: std::time::Duration::from_micros(50),
             };
-            let result = solve_async_probed(&setup, &b, &opts, &NoopProbe);
+            let result = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
             assert!(
                 result.relres <= 1e-6,
                 "async {write:?}/{res_comp:?} did not converge: {}",

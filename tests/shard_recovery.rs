@@ -170,6 +170,36 @@ fn resilient_session_degrades_through_sharded_rungs() {
     }
 }
 
+/// `.sharded(n)` inherits the solver's whole execution environment, the
+/// session clock included: a recovery-armed sharded solve built from a
+/// virtual-clock solver polls that clock (not wall time), so two runs from
+/// the same seeds agree bit for bit.
+#[test]
+fn sharded_solve_inherits_the_solver_clock_and_sched() {
+    let setup = setup_7pt6();
+    let b = random_rhs(setup.n(), 5);
+    let run = || {
+        let sched = VirtualSched::new(7);
+        let clock = VirtualClock::new();
+        let net = VirtualTransport::new(3, 1);
+        let result = Solver::new(&setup)
+            .t_max(40)
+            .sched(&sched)
+            .session_clock(&clock)
+            .sharded(2)
+            .transport(&net)
+            .recovery(Some(ShardRecovery::default()))
+            .run(&b);
+        assert!(clock.elapsed() > std::time::Duration::ZERO, "the hub never polled the clock");
+        assert!(sched.steps() > 0, "the virtual scheduler made no decisions");
+        result
+    };
+    let (r1, r2) = (run(), run());
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&r1.x), bits(&r2.x), "same seeds, same clock: replay must be bit-identical");
+    assert_eq!(r1.relres.to_bits(), r2.relres.to_bits());
+}
+
 /// Recovery surfaces in telemetry: the trace JSON carries the death and
 /// adoption events plus the hub's retransmit counter.
 #[test]
@@ -183,12 +213,12 @@ fn recovery_events_surface_in_trace_json() {
     let result = Solver::new(&setup)
         .tolerance(1e-6)
         .t_max(200)
+        .sched(&sched)
+        .session_clock(&clock)
+        .fault_plan(&plan)
         .sharded(4)
         .recovery(Some(ShardRecovery::default()))
-        .sched(&sched)
-        .clock(&clock)
         .transport(&net)
-        .fault_plan(Some(&plan))
         .with_trace()
         .run(&b);
     let json = result.trace.expect("trace requested").to_json();

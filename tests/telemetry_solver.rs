@@ -3,10 +3,11 @@
 //! zero-cost claim for [`NoopProbe`].
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
-use asyncmg_core::asynchronous::{solve_async_probed, AsyncOptions};
+use asyncmg_core::asynchronous::{solve_async, AsyncOptions};
 use asyncmg_core::setup::{MgOptions, MgSetup};
-use asyncmg_core::{Method, NoopProbe, Solver, StopCriterion};
+use asyncmg_core::{ExecEnv, Method, NoopProbe, Solver, StopCriterion};
 use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_7pt};
+use asyncmg_threads::VirtualSched;
 
 fn setup_7pt(n: usize) -> MgSetup {
     let a = laplacian_7pt(n, n, n);
@@ -77,19 +78,21 @@ fn tolerance_respects_t_max_cap() {
     assert!(report.grid_corrections.iter().all(|&c| c <= 5), "{:?}", report.grid_corrections);
 }
 
-/// The builder's async path and the direct probed entry point produce
-/// results of the same quality on the same problem.
+/// The builder's async path and the direct entry point produce results of
+/// the same quality on the same problem, and — being the same solver —
+/// agree bit for bit under equal scheduler seeds.
 #[test]
 fn solver_matches_direct_async_entry_point() {
     let setup = setup_7pt(10);
     let b = random_rhs(setup.n(), 3);
+    let solver = Solver::new(&setup).method(Method::Multadd).threads(4).t_max(30);
 
-    let report = Solver::new(&setup).method(Method::Multadd).threads(4).t_max(30).run(&b);
+    let report = solver.run(&b);
 
     let mut opts = AsyncOptions::default();
     opts.t_max = 30;
     opts.n_threads = 4;
-    let direct = solve_async_probed(&setup, &b, &opts, &NoopProbe);
+    let direct = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
 
     // Asynchronous runs are not bitwise reproducible; both must converge to
     // the same order of magnitude.
@@ -97,6 +100,14 @@ fn solver_matches_direct_async_entry_point() {
     let ratio = (report.relres / direct.relres).max(direct.relres / report.relres);
     assert!(ratio < 1e3, "solver {} vs direct {}", report.relres, direct.relres);
     assert_eq!(report.grid_corrections.len(), direct.grid_corrections.len());
+
+    let sched = VirtualSched::new(1);
+    let seeded = solver.sched(&sched).run(&b);
+    let sched = VirtualSched::new(1);
+    let env = ExecEnv { sched: Some(&sched), ..Default::default() };
+    let direct = solve_async(&setup, &b, &opts, &NoopProbe, env);
+    assert_eq!(seeded.x, direct.x);
+    assert_eq!(seeded.grid_corrections, direct.grid_corrections);
 }
 
 /// Sequential paths through the builder agree exactly with the direct
@@ -124,9 +135,9 @@ fn noop_probe_overhead_smoke() {
     opts.n_threads = 2;
 
     // Warm-up, then measure both orders to cancel drift.
-    solve_async_probed(&setup, &b, &opts, &NoopProbe);
+    solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
     let t0 = std::time::Instant::now();
-    solve_async_probed(&setup, &b, &opts, &NoopProbe);
+    solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
     let probed = t0.elapsed();
     assert!(probed.as_secs_f64() < 30.0, "async solve unreasonably slow: {probed:?}");
 }
