@@ -207,7 +207,7 @@ impl SolveResult {
 }
 
 /// Runs up to `t_max` synchronous additive V-cycles starting from `x = 0`:
-/// each cycle computes `r = b − A x` once, every grid contributes its
+/// each cycle starts from `r = b − A x`, every grid contributes its
 /// correction from the *same* residual, and the corrections are summed.
 /// Each cycle reports one correction event per grid and one residual sample
 /// to `probe`, and the run ends as soon as the relative residual drops below
@@ -231,8 +231,10 @@ pub fn solve_additive_probed<P: Probe + ?Sized>(
     let mut corr = std::mem::take(&mut scratch.corr);
     let mut history = Vec::with_capacity(t_max);
     let epoch = Instant::now();
+    // One fine-grid residual per cycle: the end-of-cycle residual of the
+    // tolerance check is the next cycle's input.
+    setup.op(0).residual(b, &x, &mut r);
     for cycle in 0..t_max {
-        setup.op(0).residual(b, &x, &mut r);
         for k in 0..setup.n_levels() {
             grid_correction(setup, method, k, &r, &mut corr, &mut scratch);
             vecops::axpy(1.0, &corr, &mut x);
@@ -346,6 +348,48 @@ mod tests {
         grid_correction(&s, AdditiveMethod::Multadd, ell, &b, &mut out, &mut scratch);
         // The correction must be nonzero and fine-grid sized.
         assert!(vecops::norm2(&out) > 0.0);
+    }
+
+    /// Hoisting the first residual out of the loop changes nothing: a loop
+    /// that recomputes `b − A x` at the top of every cycle gives the same
+    /// bits in `x` and `history`.
+    #[test]
+    fn residual_reuse_matches_recomputing_every_cycle() {
+        use asyncmg_telemetry::NoopProbe;
+        let s = setup(6, MgOptions::default());
+        let b = random_rhs(s.n(), 8);
+        let nb = vecops::norm2(&b);
+        for (method, tol) in [
+            (AdditiveMethod::Multadd, None),
+            (AdditiveMethod::Multadd, Some(1e-4)),
+            (AdditiveMethod::Afacx, None),
+        ] {
+            let n = s.n();
+            let (mut x, mut r, mut corr) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+            let mut scratch = Workspace::new(&s);
+            let mut history = Vec::new();
+            for _ in 0..25 {
+                s.op(0).residual(&b, &x, &mut r);
+                for k in 0..s.n_levels() {
+                    grid_correction(&s, method, k, &r, &mut corr, &mut scratch);
+                    vecops::axpy(1.0, &corr, &mut x);
+                }
+                s.op(0).residual(&b, &x, &mut r);
+                history.push(vecops::norm2(&r) / nb);
+                if tol.is_some_and(|t| *history.last().unwrap() < t) {
+                    break;
+                }
+            }
+            let run = solve_additive_probed(&s, method, &b, 25, tol, &NoopProbe);
+            assert_eq!(run.history.len(), history.len(), "{}", method.name());
+            assert!(tol.is_none() || history.len() < 25, "tolerance must stop the run early");
+            for (u, v) in run.history.iter().zip(&history) {
+                assert_eq!(u.to_bits(), v.to_bits(), "{}", method.name());
+            }
+            for (u, v) in run.x.iter().zip(&x) {
+                assert_eq!(u.to_bits(), v.to_bits(), "{}", method.name());
+            }
+        }
     }
 
     #[test]

@@ -81,21 +81,17 @@ pub struct BlockWorkspace {
     r: Vec<Vec<f64>>,
     e: Vec<Vec<f64>>,
     buf: Vec<Vec<f64>>,
-    /// Fine-grid blocked residual of the outer solve loop.
-    res: Vec<f64>,
 }
 
 impl BlockWorkspace {
     /// Allocates blocked buffers for `nrhs` columns over `setup`'s levels.
     pub fn new(setup: &MgSetup, nrhs: usize) -> Self {
         let sizes = setup.hierarchy.level_sizes();
-        let n = sizes[0];
         BlockWorkspace {
             nrhs,
             r: sizes.iter().map(|&m| vec![0.0; m * nrhs]).collect(),
             e: sizes.iter().map(|&m| vec![0.0; m * nrhs]).collect(),
             buf: sizes.iter().map(|&m| vec![0.0; m * nrhs]).collect(),
-            res: vec![0.0; n * nrhs],
             sizes,
         }
     }
@@ -219,16 +215,18 @@ pub fn solve_mult_batch_with(
     let mut history: Vec<Vec<f64>> = vec![Vec::new(); nrhs];
     let mut done = vec![false; nrhs];
     let t_limit = specs.iter().map(|s| s.t_max).max().unwrap_or(0);
+    // One blocked residual per cycle, as in the solo driver: the end-of-cycle
+    // residual is the next cycle's input, written straight into `scratch.r[0]`.
+    setup.a(0).residual_block(nrhs, b, &x, &mut scratch.r[0]);
     for cycle in 0..t_limit {
-        setup.a(0).residual_block(nrhs, b, &x, &mut scratch.r[0]);
         mult_vcycle_block(setup, nrhs, &mut x, scratch);
-        setup.a(0).residual_block(nrhs, b, &x, &mut scratch.res);
+        setup.a(0).residual_block(nrhs, b, &x, &mut scratch.r[0]);
         let mut all_done = true;
         for c in 0..nrhs {
             if done[c] {
                 continue;
             }
-            let rn = vecops::norm2(&scratch.res[c * n..(c + 1) * n]);
+            let rn = vecops::norm2(&scratch.r[0][c * n..(c + 1) * n]);
             let rel = if nb[c] > 0.0 { rn / nb[c] } else { rn };
             history[c].push(rel);
             let converged = specs[c].tol.is_some_and(|t| rel < t);
@@ -329,6 +327,56 @@ mod tests {
             assert_eq!(batch.relres[c].to_bits(), solo.final_relres().to_bits(), "col {c}");
             for i in 0..n {
                 assert_eq!(batch.x[c * n + i].to_bits(), solo.x[i].to_bits(), "col {c} row {i}");
+            }
+        }
+    }
+
+    /// One blocked residual per cycle is legal: a loop that recomputes
+    /// `B − A X` at the top of every cycle gives every column the same bits,
+    /// with columns freezing at different cycles.
+    #[test]
+    fn residual_reuse_matches_recomputing_every_cycle() {
+        let s = setup_n(7, MgOptions::default());
+        let n = s.n();
+        let specs = [
+            BatchSpec { tol: Some(1e-3), t_max: 30 },
+            BatchSpec { tol: Some(1e-9), t_max: 30 },
+            BatchSpec { tol: None, t_max: 5 },
+        ];
+        let nrhs = specs.len();
+        let b = block_rhs(n, nrhs, 91);
+        let batch = solve_mult_batch(&s, &b, &specs);
+        assert!(batch.cycles[0] < batch.cycles[1] && batch.cycles[2] == 5);
+
+        let mut scratch = BlockWorkspace::new(&s, nrhs);
+        let mut x = vec![0.0; n * nrhs];
+        let mut res = vec![0.0; n * nrhs];
+        let mut history: Vec<Vec<f64>> = vec![Vec::new(); nrhs];
+        let mut frozen: Vec<Option<Vec<f64>>> = vec![None; nrhs];
+        for cycle in 0..30 {
+            s.a(0).residual_block(nrhs, &b, &x, &mut scratch.r[0]);
+            mult_vcycle_block(&s, nrhs, &mut x, &mut scratch);
+            s.a(0).residual_block(nrhs, &b, &x, &mut res);
+            for (c, spec) in specs.iter().enumerate() {
+                if frozen[c].is_some() {
+                    continue;
+                }
+                let col = c * n..(c + 1) * n;
+                let rel = vecops::norm2(&res[col.clone()]) / vecops::norm2(&b[col.clone()]);
+                history[c].push(rel);
+                if spec.tol.is_some_and(|t| rel < t) || cycle + 1 == spec.t_max {
+                    frozen[c] = Some(x[col].to_vec());
+                }
+            }
+        }
+        for c in 0..nrhs {
+            assert_eq!(batch.cycles[c], history[c].len(), "col {c}");
+            for (u, v) in batch.history[c].iter().zip(&history[c]) {
+                assert_eq!(u.to_bits(), v.to_bits(), "col {c}");
+            }
+            let xc = frozen[c].as_ref().expect("every column stops within 30 cycles");
+            for (u, v) in batch.x[c * n..(c + 1) * n].iter().zip(xc) {
+                assert_eq!(u.to_bits(), v.to_bits(), "col {c}");
             }
         }
     }

@@ -110,12 +110,15 @@ pub fn solve_mult_probed<P: Probe + ?Sized>(
     let mut scratch = Workspace::new(setup);
     let mut history = Vec::with_capacity(t_max);
     let epoch = Instant::now();
+    // One fine-grid residual per cycle: the end-of-cycle residual the
+    // tolerance check needs is the next cycle's input, so it is computed
+    // straight into `scratch.r[0]` (which the finished cycle no longer reads).
+    setup.op(0).residual(b, &x, &mut scratch.r[0]);
     for cycle in 0..t_max {
-        setup.op(0).residual(b, &x, &mut scratch.r[0]);
         mult_vcycle(setup, &mut x, &mut scratch);
-        setup.op(0).residual(b, &x, &mut scratch.res);
-        let rel =
-            if nb > 0.0 { vecops::norm2(&scratch.res) / nb } else { vecops::norm2(&scratch.res) };
+        setup.op(0).residual(b, &x, &mut scratch.r[0]);
+        let rn = vecops::norm2(&scratch.r[0]);
+        let rel = if nb > 0.0 { rn / nb } else { rn };
         history.push(rel);
         if probe.enabled() {
             let t_ns = epoch.elapsed().as_nanos() as u64;
@@ -237,6 +240,40 @@ mod tests {
             assert_eq!(u.to_bits(), v.to_bits());
         }
         assert_eq!(runs[0].history, runs[1].history);
+    }
+
+    /// The driver computes one fine residual per cycle (the end-of-cycle
+    /// check feeds the next cycle); a loop that recomputes `b − A x` at the
+    /// top of every cycle must give the same bits.
+    #[test]
+    fn residual_reuse_matches_recomputing_every_cycle() {
+        use asyncmg_telemetry::NoopProbe;
+        let s = setup_n(7, MgOptions::default());
+        let b = random_rhs(s.n(), 31);
+        let nb = vecops::norm2(&b);
+        for tol in [None, Some(1e-3)] {
+            let (mut x, mut history) = (vec![0.0; s.n()], Vec::new());
+            let mut scratch = Workspace::new(&s);
+            let mut res = vec![0.0; s.n()];
+            for _ in 0..12 {
+                s.op(0).residual(&b, &x, &mut scratch.r[0]);
+                mult_vcycle(&s, &mut x, &mut scratch);
+                s.op(0).residual(&b, &x, &mut res);
+                history.push(vecops::norm2(&res) / nb);
+                if tol.is_some_and(|t| *history.last().unwrap() < t) {
+                    break;
+                }
+            }
+            let run = solve_mult_probed(&s, &b, 12, tol, &NoopProbe);
+            assert_eq!(run.history.len(), history.len());
+            assert!(tol.is_none() || history.len() < 12, "tolerance must stop the run early");
+            for (u, v) in run.history.iter().zip(&history) {
+                assert_eq!(u.to_bits(), v.to_bits());
+            }
+            for (u, v) in run.x.iter().zip(&x) {
+                assert_eq!(u.to_bits(), v.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@ use crate::setup::MgSetup;
 ///
 /// `r[k]`, `e[k]`, `buf[k]` and `buf2[k]` all have level-`k` length;
 /// `res` and `corr` are fine-grid sized. The multiplicative cycle uses
-/// `r`/`e`/`buf`, the additive corrections additionally use `buf2`
-/// (AFACx's `P e_{k+1}` products), and the outer solve loops use
-/// `res`/`corr` for the fine-grid residual and correction accumulator.
+/// `r`/`e`/`buf` (its driver keeps the fine-grid residual in `r[0]`), the
+/// additive corrections additionally use `buf2` (AFACx's `P e_{k+1}`
+/// products), and the additive solve loop uses `res`/`corr` for its
+/// fine-grid residual and correction accumulator.
 pub struct Workspace {
     /// Restricted residual per level (`r[0]` is the fine-grid residual the
     /// cycle consumes).
@@ -28,7 +29,7 @@ pub struct Workspace {
     pub(crate) buf: Vec<Vec<f64>>,
     /// Second buffer per level (AFACx `P e_{k+1}` and `A_k P e_{k+1}`).
     pub(crate) buf2: Vec<Vec<f64>>,
-    /// Fine-grid residual of the outer solve loop.
+    /// Fine-grid residual of the additive solve loop.
     pub(crate) res: Vec<f64>,
     /// Fine-grid correction accumulator of the additive solve loop.
     pub(crate) corr: Vec<f64>,

@@ -1,8 +1,8 @@
 //! The hierarchy cache: content-fingerprinted AMG setups with LRU eviction
 //! and build-time integrity checksums.
 //!
-//! The cache key is [`Csr::fingerprint`] — FNV-1a over the matrix shape and
-//! CSR arrays — so two structurally identical matrices share one hierarchy
+//! The cache key is [`Csr::fingerprint`] — a word-wise hash of the matrix
+//! shape and CSR arrays — so two structurally identical matrices share one hierarchy
 //! no matter how they were constructed. Every lookup appends a
 //! [`CacheEvent`] to a log that is a pure function of the request stream,
 //! which the harness folds into replay fingerprints.

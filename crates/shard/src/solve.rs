@@ -441,7 +441,7 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
         }
 
         // Own residual segment and its squared norm.
-        a.residual_rows(rs.clone(), cx.b, &x, &mut r);
+        a.residual_rows(rs.clone(), cx.b, &x, &mut r[rs.clone()]);
         let sumsq = vecops::sumsq_rows(rs.clone(), &r);
 
         // Outgoing data — suppressed wholesale by a drop fault (node loss).

@@ -379,8 +379,10 @@ impl LevelSmoother {
     }
 
     /// [`Self::relax_range`] through a [`Kernel`] handle: the Jacobi
-    /// variants' per-row products dispatch to the blocked kernel when one is
-    /// installed (bit-identical); the Gauss-Seidel sweeps stay on CSR rows.
+    /// variants compute their residual rows with one range-kernel call
+    /// straight into `x_block` (BSR block rows or the stencil plan where the
+    /// level has them, bit-identical either way) and apply the weighted
+    /// update in place; the Gauss-Seidel sweeps stay on CSR rows.
     pub fn relax_range_op(
         &self,
         a: Kernel<'_>,
@@ -394,9 +396,9 @@ impl LevelSmoother {
         let end = range.end;
         match self.kind {
             SmootherKind::WJacobi { .. } | SmootherKind::L1Jacobi => {
-                for i in range {
-                    let r_i = b[i] - a.row_dot(i, x_old);
-                    x_block[i - start] = x_old[i] + self.weight[i] * r_i;
+                a.residual_rows(range.clone(), b, x_old, x_block);
+                for (xb, i) in x_block.iter_mut().zip(range) {
+                    *xb = x_old[i] + self.weight[i] * *xb;
                 }
             }
             SmootherKind::HybridJgs | SmootherKind::AsyncGs => {

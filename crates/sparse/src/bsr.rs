@@ -221,8 +221,8 @@ impl Bsr {
     }
 
     /// `Σ_k row_i[k] · x[col_k]` with the exact `dot4` accumulation order of
-    /// [`Csr::row_dot`].
-    pub fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
+    /// [`Csr::row_dot`] — the edge rows of a range that cuts a block row.
+    pub(crate) fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
         let (seg, bcols) = self.row_seg(i);
         bdot(seg, bcols, self.b, x)
     }
@@ -232,17 +232,24 @@ impl Bsr {
         self.spmv_rows(0..self.nrows, x, y);
     }
 
-    /// `y[i] = Σ_k A[i,:]·x` for `i` in `rows`. The range need not be
+    /// `y[i − rows.start] = A[i,:]·x` for `i` in `rows`; `y` is the
+    /// caller's chunk-local slice (`y.len() == rows.len()`, checked in
+    /// release builds) as in [`Csr::spmv_rows`]. The range need not be
     /// block-aligned; interior whole block rows go through the fast shared-x
     /// kernel, edge rows fall back to per-row dots (same bits either way).
     pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
-        self.for_rows(rows, x, |i, v| y[i] = v);
+        assert_eq!(y.len(), rows.len(), "y must be the chunk-local slice of `rows`");
+        let first = rows.start;
+        self.for_rows(rows, x, |i, v| y[i - first] = v);
     }
 
-    /// `r[i] = b[i] − A[i,:]·x` for `i` in `rows`; bit-identical to
+    /// `r[i − rows.start] = b[i] − A[i,:]·x` for `i` in `rows` (`r`
+    /// chunk-local, `b` and `x` full vectors); bit-identical to
     /// [`Csr::residual_rows`].
     pub fn residual_rows(&self, rows: std::ops::Range<usize>, b: &[f64], x: &[f64], r: &mut [f64]) {
-        self.for_rows(rows, x, |i, v| r[i] = b[i] - v);
+        assert_eq!(r.len(), rows.len(), "r must be the chunk-local slice of `rows`");
+        let first = rows.start;
+        self.for_rows(rows, x, |i, v| r[i - first] = b[i] - v);
     }
 
     /// `r = b − A x` (all rows).
@@ -254,7 +261,8 @@ impl Bsr {
     /// block-row kernel where the range covers whole block rows.
     #[inline]
     fn for_rows<F: FnMut(usize, f64)>(&self, rows: std::ops::Range<usize>, x: &[f64], mut out: F) {
-        debug_assert!(rows.end <= self.nrows);
+        // The AVX-512 block-row kernel reads `x` through raw pointers.
+        assert!(rows.end <= self.nrows && x.len() >= self.ncols);
         let b = self.b;
         if b != 3 {
             for i in rows {
@@ -761,8 +769,8 @@ mod tests {
         for range in [0..n, 1..n, 2..n - 1, 4..5, 0..0, 7..14] {
             yc.iter_mut().for_each(|v| *v = -9.0);
             yb.iter_mut().for_each(|v| *v = -9.0);
-            a.spmv_rows(range.clone(), &x, &mut yc);
-            bsr.spmv_rows(range.clone(), &x, &mut yb);
+            a.spmv_rows(range.clone(), &x, &mut yc[range.clone()]);
+            bsr.spmv_rows(range.clone(), &x, &mut yb[range.clone()]);
             for i in 0..n {
                 assert_eq!(yb[i].to_bits(), yc[i].to_bits(), "range {range:?} row {i}");
             }

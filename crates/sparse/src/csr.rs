@@ -1,8 +1,11 @@
 //! Compressed sparse row matrices and their matrix-vector kernels.
 //!
-//! Row-range variants of every kernel (`*_rows`) exist so that a thread team
-//! can split a kernel over its members with static scheduling, exactly like
-//! the OpenMP `parallel for` loops in the paper's Algorithms 3–5.
+//! Row-range variants of the vector kernels (`*_rows`) exist so that a thread
+//! team can split a kernel over its members with static scheduling, exactly
+//! like the OpenMP `parallel for` loops in the paper's Algorithms 3–5. Their
+//! output is the caller's chunk-local slice (row `i` lands at index
+//! `i − rows.start`), so each member passes the part of the shared output it
+//! owns and nothing else.
 
 use crate::atomic::AtomicF64Vec;
 // The shared sparse dot kernel `Σ_k vals[k] · x[col[k]]` lives in the `simd`
@@ -568,7 +571,11 @@ impl Csr {
         self.spmv_rows(0..self.nrows, x, y);
     }
 
-    /// `y[rows] = (A x)[rows]` — the row-range kernel used by thread teams.
+    /// `y[i − rows.start] = (A x)[i]` for `i` in `rows` — the row-range
+    /// kernel used by thread teams. `y` is the caller's *chunk-local* slice
+    /// (`y.len() == rows.len()`, checked in release builds), which is what
+    /// a thread owning one chunk of a shared vector can pass without
+    /// aliasing its team-mates; `x` is the full vector.
     ///
     /// When SIMD is active and the matrix is stencil-structured, this runs
     /// the across-row plan of [`crate::stencil`]; each row's result is
@@ -576,16 +583,16 @@ impl Csr {
     /// partitioning.
     pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.ncols);
-        debug_assert_eq!(y.len(), self.nrows);
+        // The vector kernels read/write through raw pointers; check the
+        // slice contract in release builds too before entering them.
+        assert!(rows.end <= self.nrows && x.len() >= self.ncols);
+        assert_eq!(y.len(), rows.len(), "y must be the chunk-local slice of `rows`");
         if let Some(plan) = self.stencil_plan() {
-            // The vector kernels read/write through raw pointers; check the
-            // slice contract in release builds too before entering them.
-            assert!(rows.end <= self.nrows && x.len() >= self.ncols && y.len() >= self.nrows);
             plan.spmv_rows(self, rows, x, y);
             return;
         }
-        for i in rows {
-            y[i] = self.row_dot(i, x);
+        for (d, i) in y.iter_mut().zip(rows) {
+            *d = self.row_dot(i, x);
         }
     }
 
@@ -627,40 +634,31 @@ impl Csr {
         (a0 + a1) + (a2 + a3) + tail
     }
 
-    /// `r[rows] = (b − A x)[rows]` — residual kernel.
+    /// `r[i − rows.start] = (b − A x)[i]` for `i` in `rows` — residual
+    /// kernel; `r` is chunk-local as in [`Csr::spmv_rows`], `b` and `x` are
+    /// full vectors.
     ///
     /// Stencil-planned like [`Csr::spmv_rows`]: the dots land in `r` first,
-    /// then `r[i] = b[i] − r[i]` — the same `b[i] − dot` each scalar row
+    /// then `r = b[rows] − r` — the same `b[i] − dot` each scalar row
     /// computes, so the result stays bit-identical.
     pub fn residual_rows(&self, rows: std::ops::Range<usize>, b: &[f64], x: &[f64], r: &mut [f64]) {
+        assert!(rows.end <= self.nrows && x.len() >= self.ncols && b.len() >= self.nrows);
+        assert_eq!(r.len(), rows.len(), "r must be the chunk-local slice of `rows`");
         if let Some(plan) = self.stencil_plan() {
-            assert!(
-                rows.end <= self.nrows
-                    && x.len() >= self.ncols
-                    && r.len() >= self.nrows
-                    && b.len() >= self.nrows
-            );
             plan.spmv_rows(self, rows.clone(), x, r);
-            for i in rows {
-                r[i] = b[i] - r[i];
+            for (d, &bi) in r.iter_mut().zip(&b[rows]) {
+                *d = bi - *d;
             }
             return;
         }
-        for i in rows {
-            r[i] = b[i] - self.row_dot(i, x);
+        for (d, i) in r.iter_mut().zip(rows) {
+            *d = b[i] - self.row_dot(i, x);
         }
     }
 
     /// `r = b − A x`.
     pub fn residual(&self, b: &[f64], x: &[f64], r: &mut [f64]) {
         self.residual_rows(0..self.nrows, b, x, r);
-    }
-
-    /// `y += A x` over a row range.
-    pub fn spmv_add_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
-        for i in rows {
-            y[i] += self.row_dot(i, x);
-        }
     }
 
     /// Multi-RHS single-row kernel: `out[c] = (A x_c)_i` for each of the
@@ -941,8 +939,8 @@ mod tests {
         let mut full = [0.0; 3];
         a.spmv(&x, &mut full);
         let mut split = [0.0; 3];
-        a.spmv_rows(0..1, &x, &mut split);
-        a.spmv_rows(1..3, &x, &mut split);
+        a.spmv_rows(0..1, &x, &mut split[..1]);
+        a.spmv_rows(1..3, &x, &mut split[1..]);
         assert_eq!(full, split);
     }
 

@@ -122,7 +122,8 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// `y[i] = A[i,:]·x` for `i` in `rows`.
+    /// `y[i − rows.start] = A[i,:]·x` for `i` in `rows`; `y` is the
+    /// caller's chunk-local slice (`y.len() == rows.len()`).
     #[inline]
     pub fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
         match self {
@@ -140,21 +141,13 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// `r[i] = b[i] − A[i,:]·x` for `i` in `rows`.
+    /// `r[i − rows.start] = b[i] − A[i,:]·x` for `i` in `rows`; `r` is
+    /// chunk-local as in [`Kernel::spmv_rows`], `b` and `x` are full vectors.
     #[inline]
     pub fn residual_rows(&self, rows: std::ops::Range<usize>, b: &[f64], x: &[f64], r: &mut [f64]) {
         match self {
             Kernel::Csr(a) => a.residual_rows(rows, b, x, r),
             Kernel::Bsr { bsr, .. } => bsr.residual_rows(rows, b, x, r),
-        }
-    }
-
-    /// `A[i,:]·x`.
-    #[inline]
-    pub fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
-        match self {
-            Kernel::Csr(a) => a.row_dot(i, x),
-            Kernel::Bsr { bsr, .. } => bsr.row_dot(i, x),
         }
     }
 }
@@ -197,7 +190,6 @@ mod tests {
         kc.residual(&b, &x, &mut y0);
         kb.residual(&b, &x, &mut y1);
         assert_eq!(y0, y1);
-        assert_eq!(kc.row_dot(4, &x).to_bits(), kb.row_dot(4, &x).to_bits());
     }
 
     #[test]
@@ -207,5 +199,161 @@ mod tests {
         assert_eq!(KernelSelect::parse("blocked"), Some(KernelSelect::Bsr));
         assert_eq!(KernelSelect::parse("gpu"), None);
         assert_eq!(KernelSelect::default().label(), "auto");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    //! The chunk-local output contract of the row-range kernels: for any row
+    //! range, `spmv_rows`/`residual_rows` into a `rows.len()`-long `dst`
+    //! equal the corresponding slice of `spmv`/`residual` bit for bit — for
+    //! [`Csr`] with and without a stencil plan, for [`Bsr`], and through
+    //! [`Kernel`] — and a `dst` of any other length is refused.
+
+    use super::*;
+    use crate::coo::Coo;
+    use crate::simd::{set_mode, test_mode_lock, SimdMode};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Translate-invariant bands with a dirty border: long same-pattern row
+    /// runs (the stencil plan applies under SIMD) broken by diagonal-only
+    /// rows, so ranges cut runs mid-vector and cross gaps.
+    fn banded(n: usize, border: usize, seed: u64) -> Csr {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Coo::new(n, n);
+        for i in 0..n {
+            if i < border || i + border >= n {
+                c.push(i, i, 1.0 + i as f64);
+                continue;
+            }
+            for d in [-5i64, -1, 0, 1, 5] {
+                let j = i as i64 + d;
+                if (0..n as i64).contains(&j) {
+                    c.push(i, j as usize, rng.gen_range(-2.0..2.0));
+                }
+            }
+        }
+        c.to_csr()
+    }
+
+    /// Block-dense 3×3 pattern (zero fill), the elasticity shape.
+    fn block3(nbr: usize, seed: u64) -> Csr {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Coo::new(nbr * 3, nbr * 3);
+        for bi in 0..nbr {
+            for bj in 0..nbr {
+                if bi != bj && rng.gen_range(0usize..10) >= 4 {
+                    continue;
+                }
+                for r in 0..3 {
+                    for cc in 0..3 {
+                        c.push(bi * 3 + r, bj * 3 + cc, rng.gen_range(-2.0..2.0));
+                    }
+                }
+            }
+        }
+        c.to_csr()
+    }
+
+    fn vector(n: usize, seed: u64) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    /// Checks every range against the full kernels of `op`, under both SIMD
+    /// modes. The `NaN` pre-fill catches a row the kernel skips.
+    fn check_ranges(op: Kernel<'_>, ranges: &[std::ops::Range<usize>], seed: u64) {
+        let n = op.nrows();
+        let x = vector(op.ncols(), seed);
+        let b = vector(n, seed ^ 0x5eed);
+        let _guard = test_mode_lock();
+        for mode in [SimdMode::Off, SimdMode::Force] {
+            set_mode(mode);
+            let (mut y, mut r) = (vec![0.0; n], vec![0.0; n]);
+            op.spmv(&x, &mut y);
+            op.residual(&b, &x, &mut r);
+            for rows in ranges {
+                let mut dst = vec![f64::NAN; rows.len()];
+                op.spmv_rows(rows.clone(), &x, &mut dst);
+                for (d, i) in dst.iter().zip(rows.clone()) {
+                    assert_eq!(d.to_bits(), y[i].to_bits(), "spmv {rows:?} row {i} {mode:?}");
+                }
+                dst.fill(f64::NAN);
+                op.residual_rows(rows.clone(), &b, &x, &mut dst);
+                for (d, i) in dst.iter().zip(rows.clone()) {
+                    assert_eq!(d.to_bits(), r[i].to_bits(), "residual {rows:?} row {i} {mode:?}");
+                }
+            }
+        }
+        set_mode(SimdMode::Auto);
+    }
+
+    /// The random two-cut partition plus the fixed shapes the contract names:
+    /// empty, single row, whole matrix.
+    fn ranges_of(n: usize, cuts: &[usize]) -> Vec<std::ops::Range<usize>> {
+        let (mut c0, mut c1) = (cuts[0] % (n + 1), cuts[1] % (n + 1));
+        if c0 > c1 {
+            std::mem::swap(&mut c0, &mut c1);
+        }
+        vec![0..c0, c0..c1, c1..n, c0..c0, c0.min(n - 1)..c0.min(n - 1) + 1, 0..n]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn csr_range_kernels_write_chunk_local_slices(
+            n in 24usize..120,
+            border in 0usize..4,
+            cuts in proptest::collection::vec(0usize..120, 2),
+            seed in 0u64..1000,
+        ) {
+            let a = banded(n, border, seed);
+            check_ranges(Kernel::Csr(&a), &ranges_of(n, &cuts), seed);
+        }
+
+        #[test]
+        fn bsr_range_kernels_write_chunk_local_slices(
+            nbr in 2usize..12,
+            cuts in proptest::collection::vec(0usize..36, 2),
+            seed in 0u64..1000,
+        ) {
+            // Cuts are arbitrary scalar rows, so most are not multiples of 3:
+            // head and tail rows of a range leave the block-row kernel.
+            let a = block3(nbr, seed);
+            let bsr = Bsr::from_csr(&a, 3).unwrap();
+            prop_assert_eq!(bsr.fill(), 0);
+            check_ranges(Kernel::Bsr { csr: &a, bsr: &bsr }, &ranges_of(a.nrows(), &cuts), seed);
+        }
+    }
+
+    #[test]
+    fn stencil_plan_is_what_the_csr_kernel_test_exercises() {
+        if !crate::simd::supported() || !cfg!(target_arch = "x86_64") {
+            return;
+        }
+        let _guard = test_mode_lock();
+        set_mode(SimdMode::Force);
+        assert!(banded(64, 3, 1).stencil_stats().is_some());
+        set_mode(SimdMode::Auto);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk-local")]
+    fn csr_kernel_refuses_a_full_length_dst() {
+        let a = banded(32, 0, 1);
+        let x = vector(32, 2);
+        Kernel::Csr(&a).spmv_rows(8..16, &x, &mut vec![0.0; 32]);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk-local")]
+    fn bsr_kernel_refuses_a_short_dst() {
+        let a = block3(4, 1);
+        let bsr = Bsr::from_csr(&a, 3).unwrap();
+        let (x, b) = (vector(12, 2), vector(12, 3));
+        Kernel::Bsr { csr: &a, bsr: &bsr }.residual_rows(2..9, &b, &x, &mut [0.0; 6]);
     }
 }

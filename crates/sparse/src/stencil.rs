@@ -181,28 +181,30 @@ impl StencilPlan {
         }
     }
 
-    /// `y[rows] = (A x)[rows]`, bit-identical to the scalar per-row path.
+    /// `dst[i − rows.start] = (A x)[i]` for `i` in `rows`, bit-identical to
+    /// the scalar per-row path; `dst` is the caller's chunk-local slice.
     ///
     /// Rows inside runs go through the vector kernels (clipped to `rows`);
     /// gap rows fall back to [`Csr::row_dot`]. The caller (`Csr`) has
-    /// checked `rows.end ≤ nrows`, `x.len() ≥ ncols`, `y.len() ≥ nrows`.
-    pub(crate) fn spmv_rows(&self, a: &Csr, rows: Range<usize>, x: &[f64], y: &mut [f64]) {
+    /// checked `rows.end ≤ nrows`, `x.len() ≥ ncols`,
+    /// `dst.len() == rows.len()`.
+    pub(crate) fn spmv_rows(&self, a: &Csr, rows: Range<usize>, x: &[f64], dst: &mut [f64]) {
         #[cfg(target_arch = "x86_64")]
         {
             // SAFETY: plans are only built (see `Csr::stencil_plan`) when
             // `simd::active()`, which requires AVX2; the AVX-512 variant
             // additionally checks its features at runtime.
             if crate::simd::avx512_supported() {
-                unsafe { self.spmv_rows_avx512(a, rows, x, y) }
+                unsafe { self.spmv_rows_avx512(a, rows, x, dst) }
             } else {
-                unsafe { self.spmv_rows_avx2(a, rows, x, y) }
+                unsafe { self.spmv_rows_avx2(a, rows, x, dst) }
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
             // Plans are never built off x86-64, but keep the fallback total.
-            for i in rows {
-                y[i] = a.row_dot(i, x);
+            for (d, i) in dst.iter_mut().zip(rows) {
+                *d = a.row_dot(i, x);
             }
         }
     }
@@ -212,14 +214,16 @@ impl StencilPlan {
     ///
     /// # Safety
     /// Requires `avx512f` + `avx512vl`; `rows.end ≤ a.nrows()`,
-    /// `x.len() ≥ a.ncols()`, `y.len() ≥ a.nrows()`, and `self` built from
-    /// this `a`'s current structure and values.
+    /// `x.len() ≥ a.ncols()`, `dst.len() == rows.len()`, and `self` built
+    /// from this `a`'s current structure and values.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f,avx512vl")]
-    unsafe fn spmv_rows_avx512(&self, a: &Csr, rows: Range<usize>, x: &[f64], y: &mut [f64]) {
+    unsafe fn spmv_rows_avx512(&self, a: &Csr, rows: Range<usize>, x: &[f64], dst: &mut [f64]) {
         use core::arch::x86_64::*;
         let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
+        // Row `i` lands in `dst[i − first]`.
+        let first = rows.start;
+        let yp = dst.as_mut_ptr();
         let mut next = rows.start;
         for run in &self.runs {
             let (start, len) = (run.start as usize, run.len as usize);
@@ -232,7 +236,7 @@ impl StencilPlan {
             let lo = next.max(start);
             let hi = rows.end.min(start + len);
             for i in next..lo {
-                y[i] = a.row_dot(i, x);
+                dst[i - first] = a.row_dot(i, x);
             }
             next = hi;
             let pid = run.pid as usize;
@@ -303,7 +307,7 @@ impl StencilPlan {
                         _mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3)),
                         tv,
                     );
-                    _mm256_mask_storeu_pd(yp.add(i), mask, s);
+                    _mm256_mask_storeu_pd(yp.add(i - first), mask, s);
                     i += cl;
                     continue;
                 }
@@ -362,12 +366,12 @@ impl StencilPlan {
                 }
                 let s =
                     _mm512_add_pd(_mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3)), tv);
-                _mm512_mask_storeu_pd(yp.add(i), mask, s);
+                _mm512_mask_storeu_pd(yp.add(i - first), mask, s);
                 i += 8;
             }
         }
         for i in next..rows.end {
-            y[i] = a.row_dot(i, x);
+            dst[i - first] = a.row_dot(i, x);
         }
     }
 
@@ -378,10 +382,12 @@ impl StencilPlan {
     /// Requires `avx2`; preconditions as in [`Self::spmv_rows_avx512`].
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn spmv_rows_avx2(&self, a: &Csr, rows: Range<usize>, x: &[f64], y: &mut [f64]) {
+    unsafe fn spmv_rows_avx2(&self, a: &Csr, rows: Range<usize>, x: &[f64], dst: &mut [f64]) {
         use core::arch::x86_64::*;
         let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
+        // Row `i` lands in `dst[i − first]`.
+        let first = rows.start;
+        let yp = dst.as_mut_ptr();
         let mut next = rows.start;
         for run in &self.runs {
             let (start, len) = (run.start as usize, run.len as usize);
@@ -394,7 +400,7 @@ impl StencilPlan {
             let lo = next.max(start);
             let hi = rows.end.min(start + len);
             for i in next..lo {
-                y[i] = a.row_dot(i, x);
+                dst[i - first] = a.row_dot(i, x);
             }
             next = hi;
             let pid = run.pid as usize;
@@ -502,12 +508,12 @@ impl StencilPlan {
                 }
                 let s =
                     _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(a0, a1), _mm256_add_pd(a2, a3)), tv);
-                _mm256_maskstore_pd(yp.add(i), mask, s);
+                _mm256_maskstore_pd(yp.add(i - first), mask, s);
                 i += cl;
             }
         }
         for i in next..rows.end {
-            y[i] = a.row_dot(i, x);
+            dst[i - first] = a.row_dot(i, x);
         }
     }
 }
@@ -634,8 +640,8 @@ mod tests {
         for split in 0..=16usize {
             let mid = (nr / 3 + split).min(nr);
             y.iter_mut().for_each(|v| *v = f64::NAN);
-            a.spmv_rows(0..mid, &x, &mut y);
-            a.spmv_rows(mid..nr, &x, &mut y);
+            a.spmv_rows(0..mid, &x, &mut y[..mid]);
+            a.spmv_rows(mid..nr, &x, &mut y[mid..]);
             for i in 0..nr {
                 assert_eq!(y[i].to_bits(), reference[i].to_bits(), "split {split} row {i}");
             }
@@ -645,7 +651,7 @@ mod tests {
             for w in 1..=9usize {
                 let end = (start + w).min(nr);
                 y.iter_mut().for_each(|v| *v = f64::NAN);
-                a.spmv_rows(start..end, &x, &mut y);
+                a.spmv_rows(start..end, &x, &mut y[start..end]);
                 for i in start..end {
                     assert_eq!(
                         y[i].to_bits(),
@@ -730,9 +736,9 @@ mod tests {
                 std::mem::swap(&mut c0, &mut c1);
             }
             let mut yp = vec![0.0; nrows];
-            a.spmv_rows(0..c0, &x, &mut yp);
-            a.spmv_rows(c0..c1, &x, &mut yp);
-            a.spmv_rows(c1..nrows, &x, &mut yp);
+            a.spmv_rows(0..c0, &x, &mut yp[..c0]);
+            a.spmv_rows(c0..c1, &x, &mut yp[c0..c1]);
+            a.spmv_rows(c1..nrows, &x, &mut yp[c1..]);
             set_mode(SimdMode::Auto);
             for i in 0..nrows {
                 prop_assert_eq!(y[i].to_bits(), yref[i].to_bits(), "full row {}", i);
