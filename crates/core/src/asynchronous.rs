@@ -24,14 +24,24 @@
 //! team crashes, and corrupted or dropped correction writes, while
 //! [`RecoveryOptions`] arms the countermeasures — non-finite/magnitude
 //! guards on corrections with per-level additive damping and quarantine
-//! (Murray & Weinzierl 2019), a watchdog generalising the tolerance
-//! monitor (per-level stall detection from the correction-counter
-//! heartbeats, divergence rollback to the last known-good iterate, and a
-//! hard wall-clock budget), and a structured [`SolveOutcome`] with the
-//! fault log attached so a faulted solve reports instead of hanging.
-//! When neither a plan nor recovery is configured, none of the extra
-//! barriers or checks run and the solver is bit-identical to the
-//! undefended runtime.
+//! (Murray & Weinzierl 2019), a watchdog thread (per-level stall detection
+//! from the correction-counter heartbeats, divergence rollback to the last
+//! known-good iterate, and a hard wall-clock budget), and a structured
+//! [`SolveOutcome`] with the fault log attached so a faulted solve reports
+//! instead of hanging. When neither a plan nor recovery is configured, none
+//! of the extra barriers or checks run, no thread besides the team workers
+//! exists, and the solver is bit-identical to the undefended runtime.
+//!
+//! # Tolerance stopping
+//!
+//! [`StopCriterion::Tolerance`] adds no observer thread: a team's master
+//! raises the stop flag when the team's own residual view is below the
+//! target at a round end. That is only a *candidate* (the view is a racy
+//! snapshot): after the join [`solve_async`] takes the exact residual of the
+//! quiescent iterate and either reports the stop or launches the teams
+//! again from it. So `stopped_on_tolerance` implies `relres < tol` under any
+//! schedule, and a seeded [`VirtualSched`](asyncmg_threads::VirtualSched)
+//! replays tolerance-stopped runs bit for bit.
 
 use crate::additive::AdditiveMethod;
 use crate::resilience::CheckpointStore;
@@ -43,7 +53,7 @@ use asyncmg_threads::{
     run_teams_sched, Clock, ExecEnv, FaultPlan, GridTeamLayout, OsClock, OsSched, RacyVec,
     SchedPoint, SpinLock, TeamCtx,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -78,23 +88,27 @@ pub enum StopCriterion {
     /// least `t_max` corrections; grids keep correcting until they see it.
     Two,
     /// Stop once the global relative residual drops below `relres`, with
-    /// `t_max` corrections per grid as a hard cap. In asynchronous runs a
-    /// monitor thread samples the racy shared iterate every `check_every`
-    /// and raises the stop flag; synchronous runs check at cycle ends.
+    /// `t_max` corrections per grid as a hard cap. Asynchronous teams check
+    /// their own residual view at round ends and the stop is confirmed on
+    /// the quiescent iterate (module docs); synchronous runs check at cycle
+    /// ends. A residual that goes non-finite or grows to 10⁶ × `‖b‖` stops
+    /// the solve as [`SolveOutcome::Faulted`].
     Tolerance {
         /// Target relative residual 2-norm.
         relres: f64,
-        /// Monitor sampling period (asynchronous executions only).
-        check_every: Duration,
     },
 }
 
 impl StopCriterion {
-    /// Tolerance stopping with the default 100 µs monitor period.
+    /// Tolerance stopping at the given relative residual.
     pub fn tolerance(relres: f64) -> Self {
-        StopCriterion::Tolerance { relres, check_every: Duration::from_micros(100) }
+        StopCriterion::Tolerance { relres }
     }
 }
+
+/// Relative residual at which a tolerance-stopped solve gives up as
+/// diverged: 10⁶ × the starting residual (`x₀ = 0`, so that is `‖b‖`).
+const DIVERGED: f64 = 1e6;
 
 /// Detection-and-recovery configuration for the asynchronous runtime.
 ///
@@ -284,12 +298,9 @@ impl AsyncOptions {
         if self.t_max == 0 {
             return Err("t_max must be positive".into());
         }
-        if let StopCriterion::Tolerance { relres, check_every } = self.criterion {
+        if let StopCriterion::Tolerance { relres } = self.criterion {
             if !(relres.is_finite() && relres > 0.0) {
                 return Err(format!("tolerance {relres} must be finite and positive"));
-            }
-            if check_every.is_zero() {
-                return Err("tolerance check_every must be non-zero".into());
             }
         }
         self.recovery.validate()
@@ -314,11 +325,11 @@ pub struct AsyncResult {
     /// Injected faults and recovery actions, in time order (empty for
     /// fault-free solves).
     pub faults: Vec<FaultRecord>,
-    /// Whether a tolerance stop was actually observed (the monitor or a
-    /// synchronous cycle-end check saw the residual below target and
-    /// raised the stop flag). Unlike comparing the racy final `relres`
-    /// against the target, this flag is published with release/acquire
-    /// ordering and is therefore schedule-independent.
+    /// Whether the solve stopped because the tolerance was met: an
+    /// asynchronous run sets it only once the exact residual of the
+    /// quiescent iterate confirmed a team's candidate stop (so it implies
+    /// `relres < tol`), a synchronous run at the cycle-end check that saw
+    /// the residual below target.
     pub stopped_on_tolerance: bool,
 }
 
@@ -407,6 +418,10 @@ struct TeamData {
     /// (the global flag is set asynchronously by the watchdog, so members
     /// reading it directly could disagree and tear the barrier protocol).
     skip_local: AtomicBool,
+    /// Rounds this team has run, carried across the launches of a resumed
+    /// solve so round-keyed fault decisions are not replayed. Written by the
+    /// master as the team leaves, read by every member of the next launch.
+    round: AtomicU64,
 }
 
 /// The shared state of one solve.
@@ -415,6 +430,10 @@ struct Shared<'a, P: Probe + ?Sized> {
     b: &'a [f64],
     x: AtomicF64Vec,
     r_glob: AtomicF64Vec,
+    /// The residual every team starts a launch from: `b` at first, the exact
+    /// residual of the quiescent iterate when a tolerance solve resumes.
+    /// Written only between launches, when no worker is alive.
+    r_start: RacyVec,
     x_lock: SpinLock,
     r_lock: SpinLock,
     stop: AtomicBool,
@@ -427,7 +446,7 @@ struct Shared<'a, P: Probe + ?Sized> {
     clock: &'a dyn Clock,
     /// `clock.now_ns()` at solve start (probe timestamps are relative).
     start_ns: u64,
-    /// Monitor-thread checkpoint hook of the resilience session layer.
+    /// Watchdog checkpoint hook of the resilience session layer.
     hook: Option<&'a CheckpointHook<'a>>,
     /// `‖b‖₂`, with zero replaced by 1 so relative residuals stay defined.
     norm_b: f64,
@@ -448,9 +467,9 @@ struct Shared<'a, P: Probe + ?Sized> {
     faults: Mutex<Vec<FaultRecord>>,
     /// Raised by the watchdog when the wall-clock budget is exhausted.
     timed_out: AtomicBool,
-    /// Raised (release) by whoever observes the tolerance met and stops
-    /// the solve; read (acquire) after the join. This is the
-    /// schedule-independent "did we converge" signal.
+    /// Raised by the synchronous cycle-end check that sees the tolerance
+    /// met, or after the join by the exact residual that confirms an
+    /// asynchronous candidate stop.
     tol_stopped: AtomicBool,
 }
 
@@ -470,6 +489,14 @@ impl<P: Probe + ?Sized> Shared<'_, P> {
         self.probe.fault(t_ns, kind);
     }
 
+    /// Whether level `k` will correct no more: budget spent, quarantined, or
+    /// its team crashed (the last two only ever happen in defended runs).
+    fn grid_finished(&self, k: usize) -> bool {
+        self.counters[k].load(Ordering::Acquire) >= self.opts.t_max
+            || self.quarantined[k].load(Ordering::Acquire)
+            || self.dead[k].load(Ordering::Acquire)
+    }
+
     /// Quarantines level `k` (idempotent), logging the transition.
     fn quarantine(&self, k: usize) {
         if !self.quarantined[k].swap(true, Ordering::AcqRel) {
@@ -482,7 +509,7 @@ impl<P: Probe + ?Sized> Shared<'_, P> {
 /// one public entry point of the family; [`Solver`](crate::Solver) is the
 /// ergonomic front over it.
 ///
-/// Every correction, timed phase and monitor residual sample is reported to
+/// Every correction, timed phase and residual sample is reported to
 /// `probe`; with [`NoopProbe`](asyncmg_telemetry::NoopProbe) the hooks
 /// compile to nothing. `env` is the execution environment
 /// ([`ExecEnv::default`] = production):
@@ -490,10 +517,9 @@ impl<P: Probe + ?Sized> Shared<'_, P> {
 /// * `env.sched` — under a [`VirtualSched`](asyncmg_threads::VirtualSched)
 ///   the whole solve (every barrier, racy read/write, lock acquisition and
 ///   end-of-correction yield) is serialized through the scheduler's seeded
-///   PRNG, so the result is a deterministic function of the seed. Caveat:
-///   the asynchronous `StopCriterion::Tolerance` monitor runs on a free
-///   thread outside the scheduler; use `StopCriterion::One`/`Two` for
-///   reproducible runs.
+///   PRNG, so the result is a deterministic function of the seed — under
+///   every [`StopCriterion`], a resumed tolerance solve included (each
+///   launch continues the scheduler's decision stream).
 /// * `env.plan` — a seeded [`FaultPlan`] injecting stragglers, team
 ///   crashes, and corrupted or dropped correction writes, with
 ///   `opts.recovery` arming the countermeasures. Requires asynchronous
@@ -514,7 +540,7 @@ pub fn solve_async<P: Probe + ?Sized>(
     solve_async_impl(setup, b, opts, probe, env, None)
 }
 
-/// The monitor-thread checkpoint hook a resilience session installs: at
+/// The watchdog checkpoint hook a resilience session installs: at
 /// `cadence` (and immediately after any quarantine event) the watchdog
 /// snapshots the shared iterate into `store` together with the relative
 /// residual it just computed.
@@ -573,6 +599,7 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
             stop_local: AtomicBool::new(false),
             verdict: AtomicBool::new(false),
             skip_local: AtomicBool::new(false),
+            round: AtomicU64::new(0),
         })
         .collect();
 
@@ -587,6 +614,7 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
         b,
         x: AtomicF64Vec::zeros(n),
         r_glob: AtomicF64Vec::from_slice(b),
+        r_start: RacyVec::from_slice(b),
         x_lock: SpinLock::new(),
         r_lock: SpinLock::new(),
         stop: AtomicBool::new(false),
@@ -608,42 +636,64 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
     };
 
     let tol = match opts.criterion {
-        StopCriterion::Tolerance { relres, check_every } if !opts.sync => {
-            Some((relres, check_every))
-        }
+        StopCriterion::Tolerance { relres } if !opts.sync => Some(relres),
         _ => None,
     };
-    let start = Instant::now();
-    if tol.is_some() || (!opts.sync && (opts.recovery.needs_watchdog() || hook.is_some())) {
-        // Asynchronous tolerance stopping and the recovery defences need an
-        // observer: the worker threads never compute a global residual. The
-        // watchdog samples the racy shared iterate, checks the wall-clock
-        // budget and per-level heartbeats, and raises the stop flag.
-        let done = AtomicBool::new(false);
-        let period = tol.map_or(Duration::from_millis(1), |(_, every)| every);
-        std::thread::scope(|s| {
-            s.spawn(|| watchdog_loop(&shared, tol.map(|(t, _)| t), period, &done));
-            run_teams_sched(&layout.sizes, sched, |ctx| {
-                team_worker(&shared, &teams[ctx.team_id], &ctx);
-            });
-            done.store(true, Ordering::Release);
-        });
-    } else {
+    // Only the recovery defences and a session's checkpoint hook need an
+    // observer; a plain solve, tolerance-stopped or not, is its workers and
+    // nothing else.
+    let watched = !opts.sync && (opts.recovery.needs_watchdog() || hook.is_some());
+    let run_teams = || {
         run_teams_sched(&layout.sizes, sched, |ctx| {
             team_worker(&shared, &teams[ctx.team_id], &ctx);
-        });
-    }
-    let elapsed = start.elapsed();
+        })
+    };
+    let start = Instant::now();
+    let mut x = vec![0.0; n];
+    let (elapsed, relres) = loop {
+        if watched {
+            let done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                s.spawn(|| watchdog_loop(&shared, &done));
+                run_teams();
+                done.store(true, Ordering::Release);
+            });
+        } else {
+            run_teams();
+        }
+        let elapsed = start.elapsed();
 
-    let x = shared.x.to_vec();
-    let mut r = vec![0.0; n];
-    setup.op(0).residual(b, &x, &mut r);
-    let relres = if nb > 0.0 { vecops::norm2(&r) / nb } else { vecops::norm2(&r) };
-    if probe.enabled() {
-        // Close the residual trace with the exact post-run value, so every
-        // instrumented solve has at least one sample.
-        probe.residual_sample(shared.now_ns(), relres);
-    }
+        // Every worker has joined: `x` is quiescent and this residual exact.
+        shared.x.snapshot(&mut x);
+        // SAFETY: no worker (and no watchdog) is alive between launches, so
+        // this is the only reference into `r_start`.
+        let r = unsafe { shared.r_start.slice_mut(0..n) };
+        setup.op(0).residual(b, &x, r);
+        let relres = vecops::norm2(r) / shared.norm_b;
+        if probe.enabled() {
+            // The exact value closes each launch's residual trace, so every
+            // instrumented solve has at least one sample.
+            probe.residual_sample(shared.now_ns(), relres);
+        }
+        if tol.is_some_and(|t| relres < t) {
+            shared.tol_stopped.store(true, Ordering::Release);
+        }
+        // A candidate stop that failed this confirmation resumes while that
+        // can still help: the residual neither poisoned nor diverged, no
+        // timeout, and budget left on a grid that is still correcting.
+        let resume = tol.is_some_and(|t| relres >= t && relres < DIVERGED)
+            && shared.stop.load(Ordering::Acquire)
+            && !shared.timed_out.load(Ordering::Acquire)
+            && !(0..n_levels).all(|k| shared.grid_finished(k));
+        if !resume {
+            break (elapsed, relres);
+        }
+        shared.stop.store(false, Ordering::Release);
+        // The teams restart from `r_start`; the shared residual of the
+        // global-res and residual-based flavours restarts with them.
+        shared.r_glob.store_rows(0..n, r);
+    };
+
     let grid_corrections: Vec<usize> =
         shared.counters.iter().map(|c| c.load(Ordering::Acquire)).collect();
     let corrects_mean =
@@ -651,10 +701,15 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
     let faults = shared.faults.into_inner().unwrap();
     let stopped_on_tolerance = shared.tol_stopped.load(Ordering::Acquire);
     let hit_tol = match opts.criterion {
-        StopCriterion::Tolerance { relres: t, .. } => stopped_on_tolerance || relres < t,
+        StopCriterion::Tolerance { relres: t } => stopped_on_tolerance || relres < t,
         _ => false,
     };
-    let outcome = if shared.timed_out.load(Ordering::Acquire) || !relres.is_finite() {
+    // A tolerance solve whose residual grew 10⁶× is as faulted as one that
+    // went non-finite.
+    let outcome = if shared.timed_out.load(Ordering::Acquire)
+        || !relres.is_finite()
+        || (tol.is_some() && relres >= DIVERGED)
+    {
         SolveOutcome::Faulted
     } else if !faults.is_empty() {
         SolveOutcome::Degraded
@@ -675,26 +730,19 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
     }
 }
 
-/// The watchdog (a generalisation of the tolerance monitor): periodically
-/// computes the relative residual from the racy shared iterate (atomic
-/// reads, no locks — the workers never wait on it), raises the stop flag
-/// once it is below `tol`, and — when recovery is armed — enforces the
-/// wall-clock budget, quarantines stalled grids via the correction-counter
-/// heartbeats, and rolls a diverging iterate back to the last known-good
-/// snapshot.
-fn watchdog_loop<P: Probe + ?Sized>(
-    shared: &Shared<'_, P>,
-    tol: Option<f64>,
-    check_every: Duration,
-    done: &AtomicBool,
-) {
+/// The watchdog of a defended launch: every millisecond it enforces the
+/// wall-clock budget and quarantines stalled grids via the correction-counter
+/// heartbeats; only for divergence rollback or a due checkpoint does it
+/// compute the relative residual from the racy shared iterate (atomic reads,
+/// no locks — the workers never wait on it). It never decides a tolerance
+/// stop.
+fn watchdog_loop<P: Probe + ?Sized>(shared: &Shared<'_, P>, done: &AtomicBool) {
     let a0 = shared.setup.a(0);
     let n = shared.setup.n();
     let rec = shared.opts.recovery;
     // Rollback never composes with the residual-based flavour: rewriting
     // `x` would break its incremental `r = b − A x` invariant.
     let rollback = rec.rollback_factor.filter(|_| shared.opts.res_comp != ResComp::ResidualBased);
-    let want_res = tol.is_some() || rollback.is_some();
     let n_levels = shared.counters.len();
     let mut last_counts = vec![0usize; n_levels];
     // All budget/stall/cadence arithmetic is in clock nanoseconds relative
@@ -708,17 +756,10 @@ fn watchdog_loop<P: Probe + ?Sized>(
     let mut last_ckpt_ns: Option<u64> = None;
     let mut last_quarantined = 0usize;
     loop {
-        // Sleep in short slices so a finished run does not leave the
-        // watchdog sleeping out a long check interval.
-        let mut slept = Duration::ZERO;
-        while slept < check_every {
-            if done.load(Ordering::Acquire) {
-                return;
-            }
-            let slice = (check_every - slept).min(Duration::from_millis(1));
-            shared.clock.sleep(slice);
-            slept += slice;
+        if done.load(Ordering::Acquire) {
+            return;
         }
+        shared.clock.sleep(Duration::from_millis(1));
         if done.load(Ordering::Acquire) {
             return;
         }
@@ -764,7 +805,7 @@ fn watchdog_loop<P: Probe + ?Sized>(
                 || last_ckpt_ns
                     .is_none_or(|t| now_ns.saturating_sub(t) >= h.cadence.as_nanos() as u64)
         });
-        if !want_res && !ckpt_due {
+        if rollback.is_none() && !ckpt_due {
             continue;
         }
         let mut sum = 0.0;
@@ -785,7 +826,7 @@ fn watchdog_loop<P: Probe + ?Sized>(
                 hook.store.offer(&ckpt_buf, relres, hook.attempt, t0);
                 if shared.probe.enabled() {
                     let t1 = shared.now_ns();
-                    // The monitor records on its own ring, one past the
+                    // The watchdog records on its own ring, one past the
                     // last worker rank (probes sized for workers only drop
                     // the event safely).
                     shared.probe.phase(
@@ -813,11 +854,6 @@ fn watchdog_loop<P: Probe + ?Sized>(
                 shared.record_fault(FaultKind::Rollback);
             }
         }
-        if tol.is_some_and(|t| relres < t) {
-            shared.tol_stopped.store(true, Ordering::Release);
-            shared.stop.store(true, Ordering::Release);
-            return;
-        }
     }
 }
 
@@ -827,20 +863,26 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
     let setup = shared.setup;
     let opts = &shared.opts;
     let n = setup.n();
-    // Initialise local residual to b.
+    // Initialise the local residual to the launch's starting residual.
     unsafe {
         let chunk = ctx.chunk(n);
-        team.r_local.slice_mut(chunk.clone()).copy_from_slice(&shared.b[chunk]);
+        team.r_local.slice_mut(chunk.clone()).copy_from_slice(&shared.r_start.as_slice()[chunk]);
     }
+    // Per-worker loop-iteration counter. Every member of a team sees the
+    // same value at the same loop point, so fault decisions keyed to
+    // (site, round) are team-coherent by construction. (Loaded ahead of the
+    // barrier: the master stores it again only as the team leaves.)
+    let mut round = team.round.load(Ordering::Acquire);
     ctx.barrier();
     if opts.sync {
         ctx.global_barrier();
     }
+    // Local-res teams refresh `r_local` once per round, after the last of
+    // their grids, so the grids correct additively from one residual as in
+    // synchronous Multadd; the shared-residual flavours keep their per-write
+    // update (their invariants need it).
+    let round_residual = opts.res_comp == ResComp::Local && !opts.sync;
 
-    // Per-worker loop-iteration counter. Every member of a team sees the
-    // same value at the same loop point, so fault decisions keyed to
-    // (site, round) are team-coherent by construction.
-    let mut round: u64 = 0;
     loop {
         // Injected permanent crash: every member computes the same verdict
         // (a pure function of team and round), so the whole team leaves
@@ -848,16 +890,23 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
         if let Some(plan) = shared.plan {
             if plan.team_crashed(ctx.team_id, round) {
                 if ctx.is_team_master() {
-                    shared.record_fault(FaultKind::TeamCrash { team: ctx.team_id as u32 });
+                    // A resumed launch finds its grids already dead: the
+                    // crash is logged once.
+                    let mut first = false;
                     for grid in &team.grids {
-                        shared.dead[grid.k].store(true, Ordering::Release);
+                        first |= !shared.dead[grid.k].swap(true, Ordering::AcqRel);
+                    }
+                    if first {
+                        shared.record_fault(FaultKind::TeamCrash { team: ctx.team_id as u32 });
                     }
                 }
                 break;
             }
         }
         let mut team_done = true;
-        for grid in &team.grids {
+        // Local-res: a grid corrected since `r_local` was last refreshed.
+        let mut stale = false;
+        for (pos, grid) in team.grids.iter().enumerate() {
             // Criterion 1 (and the Tolerance cap): a grid past t_max stops
             // correcting. The counter is only incremented by this team
             // between barriers, so all team threads read a consistent value
@@ -886,14 +935,18 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
             team_done = false;
             correction_phase(shared, team, grid, ctx);
             let wrote = write_x_phase(shared, team, grid, ctx, round);
-            residual_phase(shared, team, grid, ctx, wrote);
+            stale = round_residual && pos + 1 < team.grids.len();
+            if !stale {
+                residual_phase(shared, team, grid, ctx, wrote);
+            }
             if ctx.is_team_master() {
                 shared.counters[grid.k].fetch_add(1, Ordering::AcqRel);
                 if shared.probe.enabled() {
-                    // Local-res teams just refreshed r_local; its norm is the
-                    // cheaply available local view of convergence. Other
-                    // flavours report NaN rather than pay for a norm.
-                    let local_res = if opts.res_comp == ResComp::Local && !opts.sync {
+                    // A local-res team that just refreshed r_local reports
+                    // its norm, the round's local view of convergence; its
+                    // earlier grids and the other flavours report NaN rather
+                    // than pay for a norm.
+                    let local_res = if round_residual && !stale {
                         let r = unsafe { team.r_local.as_slice() };
                         vecops::norm2(r) / shared.norm_b
                     } else {
@@ -919,6 +972,12 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
                 // point.
                 ctx.sched_point(SchedPoint::Yield);
             }
+        }
+        if stale {
+            // The team's last grid sat this round out (capped or
+            // quarantined) after an earlier one corrected.
+            let last = team.grids.last().expect("a team owns at least one grid");
+            residual_phase(shared, team, last, ctx, true);
         }
 
         // Injected straggling: burn extra scheduling decisions, delaying
@@ -951,13 +1010,9 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
                     shared.r_glob.store(i, v);
                 }
                 ctx.global_barrier();
-                {
-                    let chunk = ctx.chunk(n);
-                    let dst = unsafe { team.r_local.slice_mut(chunk.clone()) };
-                    for (off, i) in chunk.enumerate() {
-                        dst[off] = shared.r_glob.load(i);
-                    }
-                }
+                load_rows(&shared.r_glob, ctx.chunk(n), unsafe {
+                    team.r_local.slice_mut(ctx.chunk(n))
+                });
                 ctx.barrier();
                 // The residual is already up to date here, so tolerance
                 // checking (and trace sampling) is a norm away. Every
@@ -1011,11 +1066,24 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
                     }
                 }
             }
-            (false, StopCriterion::Tolerance { .. }) => {
-                // The monitor raises the global flag; t_max caps each grid
-                // (so `team_done` also terminates the team). The flag is
+            (false, StopCriterion::Tolerance { relres: tol }) => {
+                // The team's latest residual view — exact for its snapshot
+                // of x in local-res, its copy of the shared residual
+                // otherwise — is n flops away. Below target (or diverged)
+                // it raises the global flag: a candidate stop, confirmed or
+                // resumed after the join. t_max caps each grid (so
+                // `team_done` also terminates the team). The flag is
                 // republished team-coherently, as for Criterion 2.
                 if ctx.is_team_master() {
+                    let r = unsafe { team.r_local.as_slice() };
+                    let view = vecops::norm2(r) / shared.norm_b;
+                    if shared.probe.enabled() {
+                        shared.probe.residual_sample(shared.now_ns(), view);
+                    }
+                    // Written so that a NaN view stops too.
+                    if !(view >= tol && view < DIVERGED) {
+                        shared.stop.store(true, Ordering::Release);
+                    }
                     team.stop_local.store(shared.stop.load(Ordering::Acquire), Ordering::Release);
                 }
                 ctx.barrier();
@@ -1024,19 +1092,13 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
                 }
             }
             (false, StopCriterion::Two) => {
-                if ctx.is_global_master() {
-                    // Quarantined and crashed grids never reach t_max;
-                    // counting them as done keeps the survivors from
-                    // spinning forever on a level that will never advance.
-                    let all_done = shared.counters.iter().enumerate().all(|(k, c)| {
-                        c.load(Ordering::Acquire) >= opts.t_max
-                            || (shared.defended
-                                && (shared.quarantined[k].load(Ordering::Acquire)
-                                    || shared.dead[k].load(Ordering::Acquire)))
-                    });
-                    if all_done {
-                        shared.stop.store(true, Ordering::Release);
-                    }
+                // Quarantined and crashed grids never reach t_max; counting
+                // them as finished keeps the survivors from spinning forever
+                // on a level that will never advance.
+                if ctx.is_global_master()
+                    && (0..shared.counters.len()).all(|k| shared.grid_finished(k))
+                {
+                    shared.stop.store(true, Ordering::Release);
                 }
                 // Publish a team-coherent snapshot of the flag (see
                 // `TeamData::stop_local`).
@@ -1049,6 +1111,9 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
                 }
             }
         }
+    }
+    if ctx.is_team_master() {
+        team.round.store(round, Ordering::Release);
     }
 }
 
@@ -1082,10 +1147,7 @@ fn correction_phase<P: Probe + ?Sized>(
             }
         };
         let rows = ctx.chunk(restrict.nrows());
-        let dst = unsafe { grid.c[j + 1].slice_mut(rows.clone()) };
-        for (off, i) in rows.enumerate() {
-            dst[off] = restrict.row_dot(i, src);
-        }
+        restrict.spmv_rows(rows.clone(), src, unsafe { grid.c[j + 1].slice_mut(rows) });
         ctx.barrier();
     }
     let c_k: &[f64] = unsafe {
@@ -1119,12 +1181,8 @@ fn correction_phase<P: Probe + ?Sized>(
                 // c1 = R_k c_k (plain restriction).
                 let restrict = setup.r(k);
                 let rows = ctx.chunk(restrict.nrows());
-                {
-                    let dst = unsafe { grid.c1.as_ref().unwrap().slice_mut(rows.clone()) };
-                    for (off, i) in rows.enumerate() {
-                        dst[off] = restrict.row_dot(i, c_k);
-                    }
-                }
+                let c1 = unsafe { grid.c1.as_ref().unwrap().slice_mut(rows.clone()) };
+                restrict.spmv_rows(rows, c_k, c1);
                 ctx.barrier();
                 // e1 = smooth(A_{k+1}, c1) from zero.
                 let c1 = unsafe { grid.c1.as_ref().unwrap().as_slice() };
@@ -1133,22 +1191,12 @@ fn correction_phase<P: Probe + ?Sized>(
                 let e1 = unsafe { grid.e1.as_ref().unwrap().as_slice() };
                 let p = setup.p(k);
                 let rows = ctx.chunk(p.nrows());
-                {
-                    let dst = unsafe { grid.buf2.slice_mut(rows.clone()) };
-                    for (off, i) in rows.clone().enumerate() {
-                        dst[off] = p.row_dot(i, e1);
-                    }
-                }
+                p.spmv_rows(rows.clone(), e1, unsafe { grid.buf2.slice_mut(rows.clone()) });
                 ctx.barrier();
                 let buf2 = unsafe { grid.buf2.as_slice() };
-                let a_k = setup.a(k);
-                let rows = ctx.chunk(a_k.nrows());
-                {
-                    let dst = unsafe { grid.buf.slice_mut(rows.clone()) };
-                    for (off, i) in rows.clone().enumerate() {
-                        dst[off] = c_k[i] - a_k.row_dot(i, buf2);
-                    }
-                }
+                setup
+                    .op(k)
+                    .residual_rows(rows.clone(), c_k, buf2, unsafe { grid.buf.slice_mut(rows) });
                 ctx.barrier();
                 let g = unsafe { grid.buf.as_slice() };
                 team_smooth_zero(shared, grid, g, Level::K, ctx, setup.opts.afacx_s1);
@@ -1166,10 +1214,7 @@ fn correction_phase<P: Probe + ?Sized>(
         let prolong: &Csr = if smoothed { setup.p_bar(j) } else { setup.p(j) };
         let src = unsafe { grid.e[j + 1].as_slice() };
         let rows = ctx.chunk(prolong.nrows());
-        let dst = unsafe { grid.e[j].slice_mut(rows.clone()) };
-        for (off, i) in rows.enumerate() {
-            dst[off] = prolong.row_dot(i, src);
-        }
+        prolong.spmv_rows(rows.clone(), src, unsafe { grid.e[j].slice_mut(rows) });
         ctx.barrier();
     }
     if timing && k > 0 {
@@ -1212,12 +1257,7 @@ fn team_multadd_lambda<P: Probe + ?Sized>(
             // buf = A e.
             let e = unsafe { grid.e[grid.k].as_slice() };
             let rows = ctx.chunk(nk);
-            {
-                let dst = unsafe { grid.buf.slice_mut(rows.clone()) };
-                for (off, i) in rows.clone().enumerate() {
-                    dst[off] = a.row_dot(i, e);
-                }
-            }
+            setup.op(grid.k).spmv_rows(rows.clone(), e, unsafe { grid.buf.slice_mut(rows) });
             ctx.barrier();
             // e_i = w_i (2 m_ii e_i − buf_i): own rows only.
             let rows = ctx.chunk(nk);
@@ -1260,7 +1300,7 @@ fn team_smooth_zero<P: Probe + ?Sized>(
     let nk = a.nrows();
     match sm.kind() {
         SmootherKind::WJacobi { .. } | SmootherKind::L1Jacobi | SmootherKind::HybridJgs => {
-            let range = block_or_chunk(sm, ctx, nk);
+            let range = block_or_chunk(sm, ctx);
             {
                 let dst = unsafe { e.slice_mut(range.clone()) };
                 sm.apply_zero_range(a, c, dst, range.clone());
@@ -1299,7 +1339,7 @@ fn team_smooth_zero<P: Probe + ?Sized>(
                 gs.store(i, 0.0);
             }
             ctx.barrier();
-            let block = block_or_chunk(sm, ctx, nk);
+            let block = block_or_chunk(sm, ctx);
             for _ in 0..sweeps {
                 async_gs_sweep(a, c, gs, sm.weights(), block.clone());
             }
@@ -1314,16 +1354,10 @@ fn team_smooth_zero<P: Probe + ?Sized>(
     }
 }
 
-/// The rank's smoother block if the smoother is blocked with the team size,
-/// else the rank's plain chunk.
-fn block_or_chunk(sm: &LevelSmoother, ctx: &TeamCtx<'_>, n: usize) -> std::ops::Range<usize> {
-    if ctx.rank < sm.blocks().len() {
-        sm.blocks()[ctx.rank].clone()
-    } else {
-        // More threads than blocks (tiny level): idle range.
-        let _ = n;
-        0..0
-    }
+/// The rank's smoother block, or an idle (empty) range when the level has
+/// fewer blocks than the team has threads.
+fn block_or_chunk(sm: &LevelSmoother, ctx: &TeamCtx<'_>) -> std::ops::Range<usize> {
+    sm.blocks().get(ctx.rank).cloned().unwrap_or(0..0)
 }
 
 /// Coarse solve by the team master (dense LU), or smoothing sweeps.
@@ -1464,6 +1498,14 @@ fn write_x_phase<P: Probe + ?Sized>(
     true
 }
 
+/// `dst[i − rows.start] = src[i]` for `i` in `rows`: a thread's chunk of a
+/// racy shared vector, copied into its chunk-local slice.
+fn load_rows(src: &AtomicF64Vec, rows: std::ops::Range<usize>, dst: &mut [f64]) {
+    for (d, i) in dst.iter_mut().zip(rows) {
+        *d = src.load(i);
+    }
+}
+
 /// Refresh the team-local residual (Algorithm 5 lines 11–19, plus the
 /// residual-based variant).
 fn residual_phase<P: Probe + ?Sized>(
@@ -1473,10 +1515,9 @@ fn residual_phase<P: Probe + ?Sized>(
     ctx: &TeamCtx<'_>,
     wrote: bool,
 ) {
-    let setup = shared.setup;
     let opts = &shared.opts;
-    let n = setup.n();
-    let a0 = setup.a(0);
+    let a0 = shared.setup.op(0);
+    let n = a0.nrows();
     if opts.sync {
         // The synchronous driver recomputes the residual globally at the end
         // of the cycle; nothing to do per grid.
@@ -1484,74 +1525,7 @@ fn residual_phase<P: Probe + ?Sized>(
     }
     let timing = shared.probe.enabled() && ctx.is_team_master();
     let t0 = if timing { shared.now_ns() } else { 0 };
-    residual_phase_inner(shared, team, grid, ctx, n, a0, wrote);
-    if timing {
-        let now = shared.now_ns();
-        shared.probe.phase(ctx.global_rank, grid.k, Phase::ResidualUpdate, t0, now - t0);
-    }
-}
-
-fn residual_phase_inner<P: Probe + ?Sized>(
-    shared: &Shared<'_, P>,
-    team: &TeamData,
-    grid: &GridData,
-    ctx: &TeamCtx<'_>,
-    n: usize,
-    a0: &Csr,
-    wrote: bool,
-) {
-    let opts = &shared.opts;
-    if opts.res_comp == ResComp::ResidualBased {
-        // A suppressed write (dropped or guard-rejected) never changed x,
-        // so the incremental update must be skipped too — applying it
-        // would break the `r = b − A x` invariant permanently. The team
-        // still refreshes r_local from the shared residual below.
-        if wrote {
-            // delta = A e_0 (team-parallel), then r_glob −= delta.
-            let e0 = unsafe { grid.e[0].as_slice() };
-            let chunk = ctx.chunk(n);
-            {
-                let dst = unsafe { team.delta.slice_mut(chunk.clone()) };
-                for (off, i) in chunk.clone().enumerate() {
-                    dst[off] = a0.row_dot(i, e0);
-                }
-            }
-            ctx.barrier();
-            let delta = unsafe { team.delta.as_slice() };
-            match opts.write {
-                WriteMode::Lock => {
-                    if ctx.is_team_master() {
-                        ctx.lock(&shared.r_lock);
-                    }
-                    ctx.barrier();
-                    let chunk = ctx.chunk(n);
-                    for i in chunk {
-                        shared.r_glob.store(i, shared.r_glob.load(i) - delta[i]);
-                    }
-                    ctx.barrier();
-                    if ctx.is_team_master() {
-                        ctx.unlock(&shared.r_lock);
-                    }
-                }
-                WriteMode::Atomic => {
-                    ctx.sched_point(SchedPoint::RacyWrite);
-                    let chunk = ctx.chunk(n);
-                    for i in chunk {
-                        shared.r_glob.fetch_add(i, -delta[i]);
-                    }
-                    ctx.barrier();
-                }
-            }
-        }
-        ctx.sched_point(SchedPoint::RacyRead);
-        let chunk = ctx.chunk(n);
-        let dst = unsafe { team.r_local.slice_mut(chunk.clone()) };
-        for (off, i) in chunk.enumerate() {
-            dst[off] = shared.r_glob.load(i);
-        }
-        ctx.barrier();
-        return;
-    }
+    let r_local = unsafe { team.r_local.slice_mut(ctx.chunk(n)) };
     match opts.res_comp {
         ResComp::Local => {
             // Snapshot x, then recompute the residual locally. The snapshot
@@ -1559,21 +1533,10 @@ fn residual_phase_inner<P: Probe + ?Sized>(
             // deschedules the reader here so the snapshot it then takes is
             // up to δ decisions stale (the paper's delayed-read model).
             ctx.sched_point(SchedPoint::RacyRead);
-            let chunk = ctx.chunk(n);
-            {
-                let dst = unsafe { team.x_local.slice_mut(chunk.clone()) };
-                for (off, i) in chunk.enumerate() {
-                    dst[off] = shared.x.load(i);
-                }
-            }
+            load_rows(&shared.x, ctx.chunk(n), unsafe { team.x_local.slice_mut(ctx.chunk(n)) });
             ctx.barrier();
             let x_local = unsafe { team.x_local.as_slice() };
-            let chunk = ctx.chunk(n);
-            let dst = unsafe { team.r_local.slice_mut(chunk.clone()) };
-            for (off, i) in chunk.enumerate() {
-                dst[off] = shared.b[i] - a0.row_dot(i, x_local);
-            }
-            ctx.barrier();
+            a0.residual_rows(ctx.chunk(n), shared.b, x_local, r_local);
         }
         ResComp::Global => {
             // Non-blocking global update of the rows this thread owns
@@ -1581,19 +1544,55 @@ fn residual_phase_inner<P: Probe + ?Sized>(
             // the racy shared x.
             ctx.sched_point(SchedPoint::RacyRead);
             for i in ctx.global_chunk(n) {
-                let v = shared.b[i] - a0.row_dot_atomic(i, &shared.x);
+                let v = shared.b[i] - a0.csr().row_dot_atomic(i, &shared.x);
                 shared.r_glob.store(i, v);
             }
             // Read the shared residual into local memory.
             ctx.sched_point(SchedPoint::RacyRead);
-            let chunk = ctx.chunk(n);
-            let dst = unsafe { team.r_local.slice_mut(chunk.clone()) };
-            for (off, i) in chunk.enumerate() {
-                dst[off] = shared.r_glob.load(i);
-            }
-            ctx.barrier();
+            load_rows(&shared.r_glob, ctx.chunk(n), r_local);
         }
-        ResComp::ResidualBased => unreachable!("handled above"),
+        ResComp::ResidualBased => {
+            // A suppressed write (dropped or guard-rejected) never changed x,
+            // so the incremental update must be skipped too — applying it
+            // would break the `r = b − A x` invariant permanently. The team
+            // still refreshes r_local from the shared residual below.
+            if wrote {
+                // delta = A e_0 (team-parallel), then r_glob −= delta.
+                let e0 = unsafe { grid.e[0].as_slice() };
+                a0.spmv_rows(ctx.chunk(n), e0, unsafe { team.delta.slice_mut(ctx.chunk(n)) });
+                ctx.barrier();
+                let delta = unsafe { team.delta.as_slice() };
+                match opts.write {
+                    WriteMode::Lock => {
+                        if ctx.is_team_master() {
+                            ctx.lock(&shared.r_lock);
+                        }
+                        ctx.barrier();
+                        for i in ctx.chunk(n) {
+                            shared.r_glob.store(i, shared.r_glob.load(i) - delta[i]);
+                        }
+                        ctx.barrier();
+                        if ctx.is_team_master() {
+                            ctx.unlock(&shared.r_lock);
+                        }
+                    }
+                    WriteMode::Atomic => {
+                        ctx.sched_point(SchedPoint::RacyWrite);
+                        for i in ctx.chunk(n) {
+                            shared.r_glob.fetch_add(i, -delta[i]);
+                        }
+                        ctx.barrier();
+                    }
+                }
+            }
+            ctx.sched_point(SchedPoint::RacyRead);
+            load_rows(&shared.r_glob, ctx.chunk(n), r_local);
+        }
+    }
+    ctx.barrier();
+    if timing {
+        let now = shared.now_ns();
+        shared.probe.phase(ctx.global_rank, grid.k, Phase::ResidualUpdate, t0, now - t0);
     }
 }
 
@@ -1915,6 +1914,58 @@ mod tests {
             par.relres,
             seq.final_relres()
         );
+    }
+
+    #[test]
+    fn sync_mode_matches_sequential_on_blocked_and_split_block_rows() {
+        // The team loops run the range kernels on chunk-local slices: the
+        // 27pt stencil plan, and on elasticity the BSR block-row kernel —
+        // with T = 2 and 3 a chunk edge falls inside a 3×3 block row. A
+        // single team adds its grids' corrections in the sequential
+        // solver's order, so T = 1 must agree bit for bit; more teams agree
+        // to rounding (the order they reach x in is the schedule's).
+        use asyncmg_problems::{stencil::laplacian_27pt, TestSet};
+        let elast = AmgOptions { num_functions: 3, ..AmgOptions::default() };
+        let setups = [
+            MgSetup::new(
+                build_hierarchy(laplacian_27pt(12, 12, 12), &AmgOptions::default()),
+                MgOptions::default(),
+            ),
+            MgSetup::new(
+                build_hierarchy(TestSet::Elasticity.matrix(6), &elast),
+                MgOptions::default(),
+            ),
+        ];
+        assert_eq!(setups[1].op(0).label(), "bsr");
+        for s in &setups {
+            let b = random_rhs(s.n(), 9);
+            for method in [AdditiveMethod::Multadd, AdditiveMethod::Afacx] {
+                let seq =
+                    crate::additive::solve_additive_probed(s, method, &b, 6, None, &NoopProbe);
+                for n_threads in [1, 2, 3] {
+                    let opts = AsyncOptions {
+                        method,
+                        sync: true,
+                        t_max: 6,
+                        n_threads,
+                        ..Default::default()
+                    };
+                    let par = solve(s, &b, &opts);
+                    let what = format!("{} n={} T={n_threads}", method.name(), s.n());
+                    assert!(
+                        (par.relres - seq.final_relres()).abs() < 1e-9 * seq.final_relres(),
+                        "{what}: threaded sync {} vs sequential {}",
+                        par.relres,
+                        seq.final_relres()
+                    );
+                    if n_threads == 1 {
+                        for (u, v) in par.x.iter().zip(&seq.x) {
+                            assert_eq!(u.to_bits(), v.to_bits(), "{what}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -42,10 +42,8 @@
 //!     .tolerance(1e-8)
 //!     .with_trace()
 //!     .run(&b);
-//! // `converged` is schedule-independent: the monitor publishes its
-//! // tolerance stop with release/acquire ordering and the report falls
-//! // back to the exact post-run residual, so no monitor timing can flip
-//! // it.
+//! // `converged` is schedule-independent: a tolerance stop is reported
+//! // only once the exact residual of the quiescent iterate confirmed it.
 //! assert!(report.converged);
 //! let trace = report.trace.as_ref().unwrap();
 //! assert_eq!(trace.grid_corrections(), report.grid_corrections);

@@ -539,12 +539,12 @@ fn run_rung(
                 recovery.max_wall = Some(recovery.max_wall.map_or(slice, |w| w.min(slice)));
             }
             let criterion = if deterministic {
-                // Count-based stopping: the tolerance monitor samples
-                // wall-clock time and would break bit-identical replay. The
-                // session computes the exact residual itself afterwards.
+                // Count-based stopping: a seeded attempt spends exactly its
+                // budget, and the session computes the exact residual
+                // itself afterwards.
                 StopCriterion::One
             } else {
-                StopCriterion::Tolerance { relres: attempt_tol, check_every: solver.check_every }
+                StopCriterion::tolerance(attempt_tol)
             };
             // `AsyncOptions` is `#[non_exhaustive]`, so fields are set on a
             // default rather than via a struct literal.
@@ -561,10 +561,11 @@ fn run_rung(
             opts.n_threads = solver.threads.max(1);
             opts.sync = rung == Rung::SemiAsync;
             opts.recovery = recovery;
-            // Per-attempt environment: a scheduler only when seeded (the
-            // solver's own is single-launch), the plan only on rungs that
-            // can survive a crash, and always the OS clock — the session
-            // clock times backoff and deadlines, not the attempt's watchdog.
+            // Per-attempt environment: a scheduler only when seeded (a fresh
+            // one per attempt, so each replays from its own seed), the plan
+            // only on rungs that can survive a crash, and always the OS
+            // clock — the session clock times backoff and deadlines, not the
+            // attempt's watchdog.
             let vs = seed.map(VirtualSched::new);
             let env = ExecEnv {
                 sched: vs.as_ref().map(|v| v as &dyn Sched),

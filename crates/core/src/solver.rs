@@ -18,10 +18,9 @@
 //!     .t_max(1000)
 //!     .tolerance(1e-8)
 //!     .run(&b);
-//! // `converged` is schedule-independent: it is raised (release) by
-//! // whoever actually observes the tolerance met — the monitor thread or
-//! // the exact post-run residual check — and read (acquire) after the
-//! // join, so no racy monitor timing can flip it.
+//! // `converged` is schedule-independent: an asynchronous run reports a
+//! // tolerance stop only once the exact residual of the quiescent iterate
+//! // confirmed it, and resumes otherwise.
 //! assert!(report.converged);
 //! assert!(report.outcome == asyncmg_core::SolveOutcome::Converged);
 //! ```
@@ -176,7 +175,6 @@ pub struct Solver<'a> {
     pub(crate) threads: usize,
     pub(crate) t_max: usize,
     pub(crate) tolerance: Option<f64>,
-    pub(crate) check_every: Duration,
     pub(crate) res_comp: ResComp,
     pub(crate) write: WriteMode,
     pub(crate) criterion: StopCriterion,
@@ -202,7 +200,6 @@ impl<'a> Solver<'a> {
             threads: defaults.n_threads,
             t_max: defaults.t_max,
             tolerance: None,
-            check_every: Duration::from_micros(100),
             res_comp: defaults.res_comp,
             write: defaults.write,
             criterion: defaults.criterion,
@@ -263,16 +260,11 @@ impl<'a> Solver<'a> {
     }
 
     /// Stop when the relative residual drops below `relres` (capped by
-    /// [`Solver::t_max`]). Asynchronous runs detect this with a monitor
-    /// thread sampling every [`Solver::check_every`].
+    /// [`Solver::t_max`]). Asynchronous teams check their own residual view
+    /// every round; a stop is reported only after the exact residual of the
+    /// quiescent iterate confirmed it (see [`StopCriterion::Tolerance`]).
     pub fn tolerance(mut self, relres: f64) -> Self {
         self.tolerance = Some(relres);
-        self
-    }
-
-    /// Sampling period of the asynchronous tolerance monitor.
-    pub fn check_every(mut self, period: Duration) -> Self {
-        self.check_every = period;
         self
     }
 
@@ -338,11 +330,13 @@ impl<'a> Solver<'a> {
 
     /// Runs the threaded backends under `sched` instead of a fresh
     /// [`OsSched`](asyncmg_threads::OsSched) — a seeded
-    /// [`VirtualSched`](asyncmg_threads::VirtualSched) makes a count-based
-    /// run bit-reproducible. A `VirtualSched` drives one launch, so hand
-    /// each `run` its own; the sequential backends have no workers to
-    /// schedule and resilient sessions derive one scheduler per attempt
-    /// from [`Solver::session_seed`], so both ignore this.
+    /// [`VirtualSched`](asyncmg_threads::VirtualSched) makes a run
+    /// bit-reproducible, tolerance-stopped ones included. A second `run`
+    /// on the same scheduler continues its decision stream rather than
+    /// replaying it, so hand each run you want to compare a fresh one; the
+    /// sequential backends have no workers to schedule and resilient
+    /// sessions derive one scheduler per attempt from
+    /// [`Solver::session_seed`], so both ignore this.
     pub fn sched(mut self, sched: &'a dyn Sched) -> Self {
         self.env.sched = Some(sched);
         self
@@ -450,7 +444,7 @@ impl<'a> Solver<'a> {
     /// additive backends.
     fn async_options(&self, method: AdditiveMethod) -> AsyncOptions {
         let criterion = match self.tolerance {
-            Some(relres) => StopCriterion::Tolerance { relres, check_every: self.check_every },
+            Some(relres) => StopCriterion::Tolerance { relres },
             None => self.criterion,
         };
         AsyncOptions {
@@ -518,8 +512,8 @@ impl<'a> Solver<'a> {
     /// Runs the configured solver on `b`.
     pub fn run(&self, b: &[f64]) -> SolveReport {
         if self.collect_trace {
-            // One ring per worker thread; the monitor's residual samples go
-            // through the probe's mutex, not a ring.
+            // One ring per worker thread; residual samples go through the
+            // probe's mutex, not a ring.
             let mut probe = TelemetryProbe::with_threads(self.threads.max(1));
             let mut report = self.run_with(b, &probe);
             report.trace = Some(probe.take_trace());
@@ -599,9 +593,8 @@ fn sequential_report(
     }
 }
 
-/// Report for the threaded backends. `converged` uses the backend's
-/// release/acquire `stopped_on_tolerance` flag — not only the racy final
-/// residual — so it is schedule-independent.
+/// Report for the threaded backends: `converged` is the backend's
+/// `stopped_on_tolerance`, or an exact final residual below the target.
 fn threaded_report(res: AsyncResult, tolerance: Option<f64>) -> SolveReport {
     SolveReport {
         converged: tolerance.is_none_or(|t| res.stopped_on_tolerance || res.relres < t),

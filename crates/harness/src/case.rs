@@ -192,8 +192,8 @@ pub struct FuzzCase {
     pub write: WriteMode,
     /// Residual computation flavour.
     pub res_comp: ResComp,
-    /// Stop criterion (`Tolerance` is excluded: its monitor thread is not
-    /// schedule-controlled).
+    /// Stop criterion. All three replay under a seed: the tolerance stop is
+    /// decided inside the teams and confirmed between launches.
     pub criterion: StopCriterion,
     /// Corrections per grid.
     pub t_max: usize,
@@ -255,8 +255,10 @@ impl FuzzCase {
             ResComp::ResidualBased => "rbased",
         };
         let delay = if self.delay.is_some() { "/delay" } else { "" };
+        let tol =
+            if matches!(self.criterion, StopCriterion::Tolerance { .. }) { "/tol" } else { "" };
         format!(
-            "{}/{method}/{smoother}/{write}/{res}{delay}{}{}",
+            "{}/{method}/{smoother}/{write}/{res}{tol}{delay}{}{}",
             self.family.label(),
             self.fault.label(),
             self.kernel.label()

@@ -62,17 +62,30 @@ impl Oracle {
                 ));
             }
         }
+        // A reported tolerance stop is a confirmed one, and a run that did
+        // not reach the target says so.
+        if let StopCriterion::Tolerance { relres: tol } = case.criterion {
+            if r.stopped_on_tolerance != (r.relres < tol) {
+                return Err(Violation::new(
+                    case,
+                    format!(
+                        "stopped_on_tolerance = {} with relres {} against {tol}",
+                        r.stopped_on_tolerance, r.relres
+                    ),
+                ));
+            }
+        }
         // Correction-count envelope per stop criterion: under Criterion 1
         // every grid performs exactly `t_max` corrections regardless of
         // schedule; under Criterion 2 at least `t_max`, with a generous cap
-        // catching runaway grids (a team that never observes the stop flag).
+        // catching runaway grids (a team that never observes the stop flag);
+        // a tolerance stop may come at any count up to the `t_max` cap.
         // Fault injection can legitimately push grids below the floor
         // (crashed teams, quarantined grids), never above the cap.
         let envelope = match case.criterion {
             StopCriterion::One => (case.t_max, case.t_max),
-            StopCriterion::Two | StopCriterion::Tolerance { .. } => {
-                (case.t_max, case.t_max.saturating_mul(50))
-            }
+            StopCriterion::Two => (case.t_max, case.t_max.saturating_mul(50)),
+            StopCriterion::Tolerance { .. } => (0, case.t_max),
         };
         let floor = if faulted_case { 0 } else { envelope.0 };
         for (k, &c) in r.grid_corrections.iter().enumerate() {

@@ -7,6 +7,7 @@
 
 use asyncmg_sparse::{vecops, AtomicF64Vec, Csr};
 use asyncmg_threads::chunk_range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Estimates the spectral radius of `|G|`, the element-wise absolute value
 /// of the weighted-Jacobi iteration matrix `G = I − ω D⁻¹ A`, by power
@@ -76,10 +77,29 @@ pub fn jacobi_solve(a: &Csr, b: &[f64], omega: f64, sweeps: usize) -> ChaoticRes
     ChaoticResult { x, relres, relaxations: sweeps * n }
 }
 
+/// How many block sweeps a thread of [`async_jacobi_solve`] may run ahead of
+/// the average.
+const MAX_LEAD: usize = 2;
+
 /// Asynchronous weighted-Jacobi solver (Equation 5): each thread owns a
 /// block of rows and relaxes it repeatedly, reading the shared iterate
 /// without any synchronisation and publishing each update immediately.
 /// Converges whenever `ρ(|G|) < 1`.
+///
+/// The relaxation budget is shared: the threads together perform
+/// `sweeps_per_thread × n_threads` block sweeps, and none runs more than
+/// `MAX_LEAD` (2) sweeps ahead of the average — it yields until the others
+/// catch up. So this is Equation 5 with its delays bounded at two sweeps,
+/// *not* the free-running iteration: reads are still unsynchronised and
+/// every interleaving inside the bound occurs, but a lead above 2 is never
+/// exercised and per-block sweep counts differ by at most 2 either side of
+/// the mean ([`ChaoticResult::relaxations`] counts what each block actually
+/// took). The bound is what Equation 5's convergence theory assumes and an
+/// OS scheduler does not provide on a sub-millisecond run: with a budget per
+/// thread, a thread that runs before its neighbour is scheduled spends all
+/// its sweeps against the neighbour's initial guess — one block-Jacobi outer
+/// step, whatever the count — and with an unbounded shared budget it spends
+/// the neighbour's too.
 pub fn async_jacobi_solve(
     a: &Csr,
     b: &[f64],
@@ -90,20 +110,41 @@ pub fn async_jacobi_solve(
     let n = a.nrows();
     let w: Vec<f64> = a.diag().iter().map(|&d| if d != 0.0 { omega / d } else { 0.0 }).collect();
     let x = AtomicF64Vec::zeros(n);
+    let budget = sweeps_per_thread * n_threads;
+    // Sweeps handed out so far. It publishes no data (`x` is atomic), so
+    // relaxed ordering is enough.
+    let taken = AtomicUsize::new(0);
+    let relaxations = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for t in 0..n_threads {
-            let (x, w, b) = (&x, &w, b);
+            let (x, w, b, taken, relaxations) = (&x, &w, b, &taken, &relaxations);
             let block = chunk_range(n, n_threads, t);
             scope.spawn(move || {
-                for _ in 0..sweeps_per_thread {
+                let mut mine = 0;
+                loop {
+                    let total = taken.load(Ordering::Relaxed);
+                    if total >= budget {
+                        break;
+                    }
+                    // The thread with the fewest sweeps is never above the
+                    // average, so somebody can always proceed.
+                    if mine * n_threads > total + MAX_LEAD * n_threads {
+                        std::thread::yield_now();
+                        continue;
+                    }
+                    if taken.fetch_add(1, Ordering::Relaxed) >= budget {
+                        break;
+                    }
                     for i in block.clone() {
                         // x_i ← x_i + w_i (b_i − Σ_j a_ij x_j), reading the
                         // freshest available x values.
                         let acc = b[i] - a.row_dot_atomic(i, x);
                         x.store(i, x.load(i) + w[i] * acc);
                     }
+                    mine += 1;
                     std::thread::yield_now();
                 }
+                relaxations.fetch_add(mine * block.len(), Ordering::Relaxed);
             });
         }
     });
@@ -111,7 +152,7 @@ pub fn async_jacobi_solve(
     let mut r = vec![0.0; n];
     a.residual(b, &xv, &mut r);
     let relres = vecops::rel_norm(&r, b);
-    ChaoticResult { x: xv, relres, relaxations: sweeps_per_thread * n }
+    ChaoticResult { x: xv, relres, relaxations: relaxations.into_inner() }
 }
 
 #[cfg(test)]
@@ -152,6 +193,8 @@ mod tests {
         let b = random_rhs(a.nrows(), 2);
         let res = async_jacobi_solve(&a, &b, 0.9, 400, 4);
         assert!(res.relres < 1e-2, "relres {}", res.relres);
+        // 1600 block sweeps, counted: the four blocks hold 31 or 32 rows.
+        assert!((1600 * 31..=1600 * 32).contains(&res.relaxations), "{}", res.relaxations);
     }
 
     #[test]
@@ -164,5 +207,6 @@ mod tests {
         let sync = jacobi_solve(&a, &b, 0.9, 100);
         let asy = async_jacobi_solve(&a, &b, 0.9, 100, 1);
         assert!(asy.relres <= sync.relres * 1.5, "async {} sync {}", asy.relres, sync.relres);
+        assert_eq!(asy.relaxations, sync.relaxations);
     }
 }

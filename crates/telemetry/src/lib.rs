@@ -15,7 +15,7 @@
 //!   on the hot path, merged once after the run.
 //! * [`TelemetryProbe`] — the recording probe: one ring per thread, exact
 //!   per-grid correction counters, and a low-rate global residual trace fed
-//!   by the solver's monitor thread.
+//!   by the solver's team masters and cycle ends.
 //! * [`SolveTrace`] — the merged result (residual history, per-grid
 //!   correction timelines, phase-time breakdown) with JSON export
 //!   (`docs/telemetry.md` describes the schema).
@@ -153,8 +153,8 @@ pub enum Phase {
     SetupInterp,
     /// Setup: the Galerkin product `Pᵀ A P` and restriction transpose.
     SetupRap,
-    /// Resilience: a checkpoint snapshot of the shared iterate (monitor
-    /// thread cadence or quarantine-triggered).
+    /// Resilience: a checkpoint snapshot of the shared iterate (watchdog
+    /// cadence or quarantine-triggered).
     Checkpoint,
 }
 
@@ -242,8 +242,11 @@ pub trait Probe: Sync {
     #[inline(always)]
     fn phase(&self, _thread: usize, _grid: usize, _phase: Phase, _start_ns: u64, _dur_ns: u64) {}
 
-    /// The monitor (or a synchronous cycle) observed the global relative
-    /// residual.
+    /// A relative residual was observed: a team master's own view at a
+    /// round end of a tolerance-stopped asynchronous solve, the exact value
+    /// at a synchronous cycle end and after every asynchronous launch. Only
+    /// the latter are confirmed: a view below the tolerance may be followed
+    /// by a higher exact sample and a resumed launch.
     #[inline(always)]
     fn residual_sample(&self, _t_ns: u64, _relres: f64) {}
 
@@ -254,7 +257,7 @@ pub trait Probe: Sync {
 
     /// A resilience checkpoint was taken (`restored == false`) or the
     /// iterate was restored from one (`restored == true`). Cold path, like
-    /// [`Probe::fault`]: checkpoints happen at monitor cadence, not in the
+    /// [`Probe::fault`]: checkpoints happen at watchdog cadence, not in the
     /// correction hot loop.
     #[inline(always)]
     fn checkpoint(&self, _t_ns: u64, _attempt: u32, _relres: f64, _restored: bool) {}

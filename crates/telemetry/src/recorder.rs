@@ -15,7 +15,7 @@ const MAX_GRIDS: usize = 64;
 /// Hot-path recording (corrections, phases) is lock-free: thread `t` writes
 /// only to ring `t`. The exact per-grid correction counters are relaxed
 /// atomic increments (cheap, and exact even when rings overwrite). Only the
-/// low-rate residual trace — fed by the solver's monitor thread, a few
+/// low-rate residual trace — fed by team masters at round ends, a few
 /// hundred samples per solve — takes a lock.
 pub struct TelemetryProbe {
     rings: Vec<EventRing>,
@@ -66,7 +66,10 @@ impl TelemetryProbe {
             .map_or(0, |p| p + 1);
         let counts: Vec<u64> =
             self.corrections[..n_grids].iter().map(|c| c.swap(0, Ordering::Relaxed)).collect();
-        let residuals = std::mem::take(&mut *self.residuals.lock().unwrap());
+        // Team masters stamp a sample before taking the mutex, so two teams
+        // can push out of stamp order; the stable sort restores time order.
+        let mut residuals = std::mem::take(&mut *self.residuals.lock().unwrap());
+        residuals.sort_by_key(|s| s.t_ns);
         let faults = std::mem::take(&mut *self.faults.lock().unwrap());
         let mut checkpoints = std::mem::take(&mut *self.checkpoints.lock().unwrap());
         checkpoints.sort_by_key(|c| c.t_ns);

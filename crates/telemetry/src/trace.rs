@@ -119,8 +119,8 @@ pub struct ReductionRecord {
 /// Everything observed during one instrumented solve.
 #[derive(Clone, Debug, Default)]
 pub struct SolveTrace {
-    /// Low-rate global residual trace (monitor thread / sync cycle ends),
-    /// in time order.
+    /// Low-rate global residual trace (team masters' round-end views, sync
+    /// cycle ends, the exact value after each launch), in time order.
     pub residual_history: Vec<ResidualSample>,
     /// Per-grid correction timelines, indexed by grid (level) id.
     pub grids: Vec<GridTimeline>,

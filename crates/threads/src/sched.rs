@@ -81,21 +81,78 @@ pub trait Sched: Sync {
 /// Behaviour is identical to the pre-[`Sched`] runtime: team and global
 /// barriers are [`SpinBarrier`]s sized at construction, racy points are
 /// no-ops, and [`SchedPoint::Yield`] maps to [`std::thread::yield_now`].
+///
+/// An *oversubscribed* launch — more workers than the process may use cores
+/// (Linux only) — binds worker `w` to allowed core `w mod cores`. Workers
+/// that yield after every correction never sleep, so the kernel's balancer
+/// leaves them where `fork` queued them: measured on 2 cores with 4 one-
+/// thread teams, the fine-grid team keeps one core and three teams share the
+/// other for the whole solve (an idle core beside a 3-deep queue for 40 ms),
+/// and a fixed-count solve lands anywhere in 1e-8 .. 8e-3. Spread evenly it
+/// lands in 1e-8 .. 3e-7. A launch that fits the cores is left to the OS.
 pub struct OsSched {
     sizes: Vec<usize>,
     team_barriers: Vec<SpinBarrier>,
     global_barrier: SpinBarrier,
+    /// The cores to spread the workers over; empty when the launch fits.
+    pin_to: Vec<usize>,
 }
 
 impl OsSched {
     /// A scheduler for teams of the given sizes.
     pub fn for_teams(team_sizes: &[usize]) -> Self {
+        let n_workers: usize = team_sizes.iter().sum();
+        let mut pin_to = affinity::allowed_cores();
+        if n_workers <= pin_to.len() {
+            pin_to.clear();
+        }
         OsSched {
             sizes: team_sizes.to_vec(),
             team_barriers: team_sizes.iter().map(|&s| SpinBarrier::new(s)).collect(),
-            global_barrier: SpinBarrier::new(team_sizes.iter().sum()),
+            global_barrier: SpinBarrier::new(n_workers),
+            pin_to,
         }
     }
+}
+
+/// Thread-to-core binding through the C library `std` already links.
+#[cfg(target_os = "linux")]
+mod affinity {
+    /// `cpu_set_t` is 1024 bits.
+    const WORDS: usize = 16;
+
+    extern "C" {
+        // pid 0 is the calling thread; both return 0 on success.
+        fn sched_getaffinity(pid: i32, bytes: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, bytes: usize, mask: *const u64) -> i32;
+    }
+
+    /// The cores the calling thread (and so any thread it spawns) may run
+    /// on; empty if the kernel will not say.
+    pub(super) fn allowed_cores() -> Vec<usize> {
+        let mut mask = [0u64; WORDS];
+        // SAFETY: `mask` is WORDS * 8 writable bytes.
+        if unsafe { sched_getaffinity(0, WORDS * 8, mask.as_mut_ptr()) } != 0 {
+            return Vec::new();
+        }
+        (0..WORDS * 64).filter(|&c| mask[c / 64] >> (c % 64) & 1 == 1).collect()
+    }
+
+    /// Binds the calling thread to `core`; on failure it stays unbound.
+    pub(super) fn pin(core: usize) {
+        let mut mask = [0u64; WORDS];
+        mask[core / 64] = 1 << (core % 64);
+        // SAFETY: `mask` is WORDS * 8 readable bytes.
+        unsafe { sched_setaffinity(0, WORDS * 8, mask.as_ptr()) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub(super) fn allowed_cores() -> Vec<usize> {
+        Vec::new()
+    }
+    pub(super) fn pin(_core: usize) {}
 }
 
 impl Sched for OsSched {
@@ -103,7 +160,11 @@ impl Sched for OsSched {
         assert_eq!(team_sizes, &self.sizes[..], "OsSched built for different team sizes");
     }
 
-    fn worker_start(&self, _worker: usize) {}
+    fn worker_start(&self, worker: usize) {
+        if !self.pin_to.is_empty() {
+            affinity::pin(self.pin_to[worker % self.pin_to.len()]);
+        }
+    }
 
     fn worker_exit(&self, _worker: usize, _panicked: bool) {}
 
@@ -200,7 +261,6 @@ struct VState {
     current: Option<usize>,
     step: u64,
     poisoned: bool,
-    launched: bool,
     held_locks: Vec<usize>,
     log: Vec<u32>,
 }
@@ -214,14 +274,12 @@ struct VState {
 /// telemetry event content (wall-clock timestamps excepted) — regardless of
 /// core count or OS scheduling.
 ///
-/// A `VirtualSched` drives **one** launch: the PRNG stream spans the whole
-/// object, so reuse would continue the stream rather than replay it.
-/// Create a fresh instance per run when reproducibility matters.
-///
-/// Solvers whose tolerance monitor runs outside the team (asynchronous
-/// `StopCriterion::Tolerance`) remain nondeterministic under this scheduler:
-/// the monitor thread is not a team worker and is not gated. Use the
-/// count-based criteria for deterministic runs.
+/// A `VirtualSched` may be launched again once every worker of the previous
+/// launch has exited (a resumed tolerance solve does): the PRNG stream, the
+/// step counter and the decision log span the whole object, so a later
+/// launch *continues* the stream rather than replaying it and the sequence
+/// of launches stays a pure function of the seed. Create a fresh instance
+/// for each run you want to compare against another.
 pub struct VirtualSched {
     state: Mutex<VState>,
     cv: Condvar,
@@ -256,7 +314,6 @@ impl VirtualSched {
                 current: None,
                 step: 0,
                 poisoned: false,
-                launched: false,
                 held_locks: Vec::new(),
                 log: Vec::new(),
             }),
@@ -375,14 +432,19 @@ impl Sched for VirtualSched {
     fn launch(&self, team_sizes: &[usize]) {
         let n: usize = team_sizes.iter().sum();
         let mut st = self.guard();
-        assert!(!st.launched, "VirtualSched drives a single launch; create a new one per run");
-        st.launched = true;
+        assert!(
+            st.status.iter().all(|&s| s == Status::Done),
+            "VirtualSched launched while workers of the previous launch are live"
+        );
+        // The rng, step counter and decision log run on across launches.
         st.sizes = team_sizes.to_vec();
         st.team_of =
             team_sizes.iter().enumerate().flat_map(|(t, &s)| std::iter::repeat_n(t, s)).collect();
         st.status = vec![Status::NotStarted; n];
         st.team_arrived = vec![0; team_sizes.len()];
         st.global_arrived = 0;
+        st.started = 0;
+        st.held_locks.clear();
     }
 
     fn worker_start(&self, worker: usize) {
@@ -606,6 +668,41 @@ mod tests {
     }
 
     #[test]
+    fn relaunch_continues_the_seeded_stream() {
+        // Two launches on one scheduler: the concatenated decision log is a
+        // pure function of the seed, and the second launch does not replay
+        // the first.
+        let two_launches = |seed: u64| {
+            let s = VirtualSched::new(seed);
+            let first = run_logged(&s, &[2, 2], 6);
+            let after_first = s.decisions().len();
+            let second = run_logged(&s, &[2, 2], 6);
+            (first, second, after_first, s.decisions())
+        };
+        let (a1, a2, cut, log_a) = two_launches(21);
+        let (b1, b2, _, log_b) = two_launches(21);
+        assert_eq!((&a1, &a2), (&b1, &b2));
+        assert_eq!(log_a, log_b);
+        assert!(log_a.len() > cut, "the second launch made no decisions");
+        assert_ne!(log_a[..cut], log_a[cut..], "the second launch replayed the first");
+        let any_differs = (22..30u64).any(|seed| two_launches(seed).3 != log_a);
+        assert!(any_differs, "8 seeds produced identical two-launch schedules");
+    }
+
+    #[test]
+    fn relaunch_while_workers_are_live_panics() {
+        let sched = VirtualSched::new(0);
+        let refused = AtomicUsize::new(0);
+        run_teams_sched(&[1], &sched, |_| {
+            let attempt = std::panic::AssertUnwindSafe(|| sched.launch(&[1]));
+            if std::panic::catch_unwind(attempt).is_err() {
+                refused.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(refused.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
     fn virtual_barriers_and_global_barriers_synchronise() {
         // Phase counter: within each phase every worker must observe the
         // same value, which only holds if the barrier is honoured.
@@ -654,6 +751,26 @@ mod tests {
                 ctx.barrier();
             }
         });
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn os_sched_pins_only_oversubscribed_launches() {
+        let cores = affinity::allowed_cores();
+        assert!(!cores.is_empty());
+        // One worker more than there are cores: worker w sits on core
+        // w mod cores and nowhere else. A launch that fits keeps the
+        // process's whole set.
+        for (n_workers, pinned) in [(cores.len() + 1, true), (cores.len(), false)] {
+            let seen = Mutex::new(vec![Vec::new(); n_workers]);
+            run_teams_sched(&[n_workers], &OsSched::for_teams(&[n_workers]), |ctx| {
+                seen.lock().unwrap()[ctx.global_rank] = affinity::allowed_cores();
+            });
+            for (w, got) in seen.into_inner().unwrap().into_iter().enumerate() {
+                let want = if pinned { vec![cores[w % cores.len()]] } else { cores.clone() };
+                assert_eq!(got, want, "worker {w} of {n_workers}");
+            }
+        }
     }
 
     #[test]

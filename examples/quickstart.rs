@@ -34,7 +34,8 @@ fn main() {
 
     // 4. Asynchronous Multadd (Algorithm 5, local-res, lock-write): every
     //    grid corrects the shared solution with no global synchronisation.
-    //    A monitor thread stops the run once the residual is below 1e-8.
+    //    The teams stop once their residual view is below 1e-8 and the
+    //    exact residual of the quiescent iterate confirms it.
     let report = Solver::new(&setup)
         .method(Method::Multadd)
         .threads(4)

@@ -6,7 +6,7 @@
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
     solve_async, solve_mult_threaded, AdditiveMethod, AsyncOptions, ExecEnv, Method, MgOptions,
-    MgSetup, NoopProbe, ResComp, Solver, WriteMode,
+    MgSetup, NoopProbe, ResComp, Solver, StopCriterion, WriteMode,
 };
 use asyncmg_harness::{CaseRun, FuzzCase};
 use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_7pt};
@@ -98,6 +98,39 @@ fn delay_injection_is_deterministic_and_bounded() {
     // Bounded staleness must not break Criterion 1 correction counts.
     assert!(r1.result.grid_corrections.iter().all(|&c| c == case.t_max));
     assert!(r1.result.relres.is_finite());
+}
+
+/// A tolerance stop is decided by the teams and confirmed between launches,
+/// so it is as much a function of the seed as a count-based run: every
+/// method × write × residual flavour, with and without delayed reads,
+/// replays its solution, correction counts and decision log — across
+/// however many launches the confirmation took.
+#[test]
+fn tolerance_stopped_runs_replay_bit_identically() {
+    for method in [AdditiveMethod::Multadd, AdditiveMethod::Afacx] {
+        for write in [WriteMode::Lock, WriteMode::Atomic] {
+            for res_comp in [ResComp::Local, ResComp::Global, ResComp::ResidualBased] {
+                for delay in [None, Some(ReadDelay { prob: 0.3, max_steps: 8 })] {
+                    let mut case = FuzzCase::base();
+                    case.method = method;
+                    case.write = write;
+                    case.res_comp = res_comp;
+                    case.delay = delay;
+                    case.criterion = StopCriterion::tolerance(1e-6);
+                    case.t_max = 120;
+                    let (r1, r2) = (case.run(13), case.run(13));
+                    let label = case.label();
+                    assert_eq!(bits(&r1.result.x), bits(&r2.result.x), "x of {label}");
+                    assert_eq!(r1.result.grid_corrections, r2.result.grid_corrections, "{label}");
+                    assert_eq!(r1.decisions, r2.decisions, "schedule of {label}");
+                    assert_eq!(r1.fingerprint, r2.fingerprint, "{label}");
+                    let r = &r1.result;
+                    assert_eq!(r.stopped_on_tolerance, r.relres < 1e-6, "{label}: {}", r.relres);
+                    assert!(r.grid_corrections.iter().all(|&c| c <= case.t_max), "{label}");
+                }
+            }
+        }
+    }
 }
 
 /// The production environment with only the scheduler replaced.

@@ -12,13 +12,14 @@
 //! Reproduce a printed failure with the `HARNESS_SEED=… HARNESS_CASE=…`
 //! line from its message; see `docs/testing.md`.
 
-use asyncmg_core::{AdditiveMethod, ResComp, WriteMode};
+use asyncmg_core::{AdditiveMethod, ResComp, StopCriterion, WriteMode};
 use asyncmg_harness::{run_fuzz, seeds_from_env, FuzzCase, KernelAxis, MatrixFamily, Oracle};
 use asyncmg_smoothers::SmootherKind;
 use asyncmg_threads::ReadDelay;
 
 /// The fuzz matrix: 2 families × 2 smoothers × 2 writes × 3 residual
-/// flavours (24 Multadd cases), 4 AFACx rows, and 4 delay-injected rows.
+/// flavours (24 Multadd cases), 4 AFACx rows, 4 delay-injected rows, 2
+/// kernel-axis rows and 8 tolerance-stopped rows.
 fn fuzz_matrix() -> Vec<FuzzCase> {
     let families = [MatrixFamily::SevenPt(6), MatrixFamily::TwentySevenPt(5)];
     let smoothers = [FuzzCase::base().smoother, SmootherKind::HybridJgs];
@@ -69,6 +70,25 @@ fn fuzz_matrix() -> Vec<FuzzCase> {
         c.kernel = kernel;
         cases.push(c);
     }
+    // Tolerance-stopped rows: the in-team candidate stop and its
+    // confirm-or-resume loop, per write × residual flavour, plus delayed
+    // reads (stale snapshots are what make a candidate fail confirmation).
+    for write in writes {
+        for res_comp in res_comps {
+            let mut c = FuzzCase::base();
+            c.write = write;
+            c.res_comp = res_comp;
+            c.criterion = StopCriterion::tolerance(1e-6);
+            c.t_max = 120;
+            cases.push(c);
+        }
+        let mut c = FuzzCase::base();
+        c.write = write;
+        c.criterion = StopCriterion::tolerance(1e-6);
+        c.t_max = 120;
+        c.delay = Some(ReadDelay { prob: 0.25, max_steps: 10 });
+        cases.push(c);
+    }
     cases
 }
 
@@ -81,6 +101,9 @@ fn fuzz_matrix() -> Vec<FuzzCase> {
 fn oracle_for(case: &FuzzCase) -> Oracle {
     // Elasticity converges slowly (~0.94/cycle for scalar AMG, as the
     // paper's Table I shows), so its rows only get the boundedness bar.
+    // A tolerance row that runs out of budget must still have converged as
+    // far as the count-based rows do; one that stops is below 1e-6 by the
+    // oracle's own stopped-means-confirmed check.
     let max_relres = match case.res_comp {
         ResComp::Global => None,
         _ if matches!(case.family, MatrixFamily::Elasticity(_)) => None,

@@ -155,10 +155,7 @@ fn sharded_agrees_with_shared_memory_models() {
                 continue;
             }
             opts.t_max = 200;
-            opts.criterion = StopCriterion::Tolerance {
-                relres: 1e-8,
-                check_every: std::time::Duration::from_micros(50),
-            };
+            opts.criterion = StopCriterion::tolerance(1e-8);
             let result = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
             assert!(
                 result.relres <= 1e-6,

@@ -32,7 +32,7 @@ fn tolerance_stops_async_multadd_below_tol() {
 
     assert!(report.converged, "did not converge: relres {}", report.relres);
     assert!(report.relres < 1e-8, "relres {}", report.relres);
-    // Stopped by the monitor, not by running the correction budget dry: the
+    // Stopped by the tolerance, not by running the correction budget dry: the
     // 7pt Laplacian converges to 1e-8 in a few tens of cycles, far under
     // 1000 corrections per grid.
     assert!(
@@ -99,7 +99,8 @@ fn solver_matches_direct_async_entry_point() {
     assert!(report.relres < 1e-3 && direct.relres < 1e-3);
     let ratio = (report.relres / direct.relres).max(direct.relres / report.relres);
     assert!(ratio < 1e3, "solver {} vs direct {}", report.relres, direct.relres);
-    assert_eq!(report.grid_corrections.len(), direct.grid_corrections.len());
+    assert_eq!(report.grid_corrections, vec![30; setup.n_levels()]);
+    assert_eq!(report.grid_corrections, direct.grid_corrections);
 
     let sched = VirtualSched::new(1);
     let seeded = solver.sched(&sched).run(&b);
@@ -108,6 +109,7 @@ fn solver_matches_direct_async_entry_point() {
     let direct = solve_async(&setup, &b, &opts, &NoopProbe, env);
     assert_eq!(seeded.x, direct.x);
     assert_eq!(seeded.grid_corrections, direct.grid_corrections);
+    assert!(seeded.relres < 1e-3, "seeded relres {}", seeded.relres);
 }
 
 /// Sequential paths through the builder agree exactly with the direct
@@ -340,15 +342,9 @@ fn trace_schema_v3_is_superset_of_v2() {
 }
 
 /// `StopCriterion::Tolerance` participates in options equality and the
-/// helper constructor fills a sane check period.
+/// helper constructor is the variant.
 #[test]
 fn tolerance_criterion_constructor() {
-    let c = StopCriterion::tolerance(1e-8);
-    match c {
-        StopCriterion::Tolerance { relres, check_every } => {
-            assert_eq!(relres, 1e-8);
-            assert!(check_every.as_micros() > 0);
-        }
-        _ => panic!("wrong variant"),
-    }
+    assert_eq!(StopCriterion::tolerance(1e-8), StopCriterion::Tolerance { relres: 1e-8 });
+    assert_ne!(StopCriterion::tolerance(1e-8), StopCriterion::tolerance(1e-6));
 }
