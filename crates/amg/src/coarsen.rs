@@ -85,7 +85,7 @@ impl Strength {
 /// `λ_i = |Sᵀ_i ∩ undecided| (+ bonus for F-neighbours)`, makes it C, makes
 /// everything that strongly depends on it F, and bumps the measures of
 /// those F-points' other dependencies.
-pub fn rs_first_pass(s: &Strength) -> Vec<Cf> {
+fn rs_first_pass(s: &Strength) -> Vec<Cf> {
     let n = s.n();
     let mut cf = vec![Cf::Undecided; n];
     let mut measure: Vec<i64> = (0..n).map(|i| s.influences(i).len() as i64).collect();
@@ -245,7 +245,7 @@ fn pmis_on_subset(
 
 /// HMIS: RS first pass, then PMIS over the RS C-points with distance-1
 /// strength edges.
-pub fn hmis(s: &Strength, seed: u64) -> Vec<Cf> {
+fn hmis(s: &Strength, seed: u64) -> Vec<Cf> {
     let stage1 = rs_first_pass(s);
     let c_mask: Vec<bool> = stage1.iter().map(|&c| c == Cf::C).collect();
     if c_mask.iter().filter(|&&c| c).count() <= 1 {

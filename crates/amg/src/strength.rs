@@ -51,7 +51,7 @@ pub fn classical_strength(a: &Csr, theta: f64) -> Strength {
 /// interpolation act on each solution component separately. Without it,
 /// scalar AMG stagnates on elasticity because interpolation mixes
 /// displacement components and loses the rigid-body modes.
-pub fn classical_strength_nf(a: &Csr, theta: f64, num_functions: usize) -> Strength {
+fn classical_strength_nf(a: &Csr, theta: f64, num_functions: usize) -> Strength {
     assert!(num_functions >= 1);
     if num_functions == 1 {
         return classical_strength_funcs(a, theta, None);

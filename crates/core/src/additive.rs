@@ -155,28 +155,17 @@ fn coarse_apply(setup: &MgSetup, coarse: CoarseSolve, r: &[f64], e: &mut [f64], 
             Some(lu) => lu.solve(r, e),
             None => {
                 // Singular coarsest operator: fall back to smoothing.
-                smooth_zero_sweeps_inner(setup, ell, 2, r, e, buf);
+                smooth_zero_sweeps(setup, ell, 2, r, e, buf);
             }
         },
         CoarseSolve::Smooth { sweeps } => {
-            smooth_zero_sweeps_inner(setup, ell, sweeps, r, e, buf);
+            smooth_zero_sweeps(setup, ell, sweeps, r, e, buf);
         }
     }
 }
 
 /// `e = (sweeps of the level-k smoother from zero guess on A_k e = r)`.
 fn smooth_zero_sweeps(
-    setup: &MgSetup,
-    k: usize,
-    sweeps: usize,
-    r: &[f64],
-    e: &mut [f64],
-    buf: &mut [f64],
-) {
-    smooth_zero_sweeps_inner(setup, k, sweeps, r, e, buf);
-}
-
-fn smooth_zero_sweeps_inner(
     setup: &MgSetup,
     k: usize,
     sweeps: usize,

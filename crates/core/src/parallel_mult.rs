@@ -8,7 +8,7 @@
 
 use crate::asynchronous::{AsyncResult, SolveOutcome};
 use crate::setup::{CoarseSolve, MgSetup};
-use asyncmg_smoothers::{LevelSmoother, SmootherKind};
+use asyncmg_smoothers::LevelSmoother;
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
 use asyncmg_threads::{run_teams_sched, ExecEnv, OsSched, RacyVec};
@@ -262,12 +262,6 @@ fn rank_block(sm: &LevelSmoother, rank: usize) -> std::ops::Range<usize> {
     }
 }
 
-/// `true` when the smoother makes the threaded cycle bit-identical to the
-/// sequential one (Jacobi variants; block-GS depends on the block count).
-pub fn threaded_matches_sequential(kind: SmootherKind) -> bool {
-    !kind.is_block_gs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +269,7 @@ mod tests {
     use crate::setup::MgOptions;
     use asyncmg_amg::{build_hierarchy, AmgOptions};
     use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_27pt, TestSet};
+    use asyncmg_smoothers::SmootherKind;
     use asyncmg_telemetry::{NoopProbe, TelemetryProbe};
 
     /// The two operator shapes the range kernels specialise on: a 27-point

@@ -108,7 +108,7 @@ impl CheckpointStore {
     }
 
     /// Records that a retry warm-started from the best checkpoint.
-    pub fn mark_restored(&self) {
+    fn mark_restored(&self) {
         self.restored.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -184,7 +184,7 @@ impl Rung {
 
     /// Whether this rung runs the asynchronous threaded backend (the only
     /// rungs fault plans and checkpoint hooks apply to).
-    pub fn is_async(self) -> bool {
+    fn is_async(self) -> bool {
         matches!(self, Rung::AsyncAtomic | Rung::AsyncLock)
     }
 }

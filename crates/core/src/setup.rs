@@ -162,8 +162,8 @@ impl MgSetup {
     }
 
     /// Smoothed prolongation `P̄_{k+1}^k` (the first call to this,
-    /// [`r_bar`](Self::r_bar) or a smoothed [`grid_work`](Self::grid_work)
-    /// builds all of them).
+    /// [`r_bar`](Self::r_bar) or a smoothed
+    /// [`work_estimates`](Self::work_estimates) builds all of them).
     pub fn p_bar(&self, k: usize) -> &Csr {
         &self.smoothed()[k].0
     }
@@ -176,7 +176,7 @@ impl MgSetup {
     /// Estimated flops for one correction of grid `k` under the given
     /// additive method — the "work" of Section IV used to distribute
     /// threads over grids.
-    pub fn grid_work(&self, k: usize, smoothed: bool) -> f64 {
+    fn grid_work(&self, k: usize, smoothed: bool) -> f64 {
         let ell = self.n_levels() - 1;
         let mut flops = 0.0;
         // Restriction down and prolongation up through levels 0..k.

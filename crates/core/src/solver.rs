@@ -379,12 +379,12 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// The clock a resilient session reads for backoff, deadline and
-    /// checkpoint timestamps, and that `Solver::run` (and a `.sharded(n)`
-    /// solve built from this solver) hands to the watchdog / failure
-    /// detector. A [`VirtualClock`](asyncmg_threads::VirtualClock) makes
+    /// The clock of every solve built from this solver: `Solver::run` and
+    /// a `.sharded(n)` solve hand it to the watchdog / failure detector, a
+    /// resilient session also reads it for backoff, deadline and checkpoint
+    /// timestamps. A [`VirtualClock`](asyncmg_threads::VirtualClock) makes
     /// every timeout path deterministic and sleep-free.
-    pub fn session_clock(mut self, clock: &'a dyn Clock) -> Self {
+    pub fn clock(mut self, clock: &'a dyn Clock) -> Self {
         self.env.clock = Some(clock);
         self
     }

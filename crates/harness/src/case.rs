@@ -119,7 +119,7 @@ impl FaultAxis {
 }
 
 /// The kernel axis of the fuzz matrix: which operator representation the
-/// hierarchy uses and whether the SIMD dot paths are forced on or off.
+/// hierarchy uses and whether the explicit-SIMD kernels are on or off.
 ///
 /// Every kernel layer promises bit-identical results, so the oracle demands
 /// that *all* axis values of a case produce the same run fingerprint — a
@@ -130,11 +130,11 @@ pub enum KernelAxis {
     Auto,
     /// Scalar CSR kernels, SIMD disabled.
     CsrScalar,
-    /// CSR kernels with the SIMD dot paths forced on.
+    /// CSR kernels with SIMD on wherever the CPU has it.
     CsrSimd,
     /// Blocked BSR kernels, SIMD disabled.
     BsrScalar,
-    /// Blocked BSR kernels with the SIMD dot paths forced on.
+    /// Blocked BSR kernels with SIMD on wherever the CPU has it.
     BsrSimd,
 }
 
@@ -160,9 +160,8 @@ impl KernelAxis {
     /// The SIMD mode this axis pins process-wide for the run.
     pub fn simd_mode(self) -> simd::SimdMode {
         match self {
-            KernelAxis::Auto => simd::SimdMode::Auto,
             KernelAxis::CsrScalar | KernelAxis::BsrScalar => simd::SimdMode::Off,
-            KernelAxis::CsrSimd | KernelAxis::BsrSimd => simd::SimdMode::Force,
+            KernelAxis::Auto | KernelAxis::CsrSimd | KernelAxis::BsrSimd => simd::SimdMode::Auto,
         }
     }
 

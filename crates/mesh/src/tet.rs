@@ -82,8 +82,10 @@ impl TetMesh {
         det3(e1, e2, e3) / 6.0
     }
 
-    /// Total mesh volume `Σ |vol(t)|`.
-    pub fn total_volume(&self) -> f64 {
+    /// Total mesh volume `Σ |vol(t)|`: the tests' check that a mesh tiles
+    /// its domain.
+    #[cfg(test)]
+    fn total_volume(&self) -> f64 {
         (0..self.n_tets()).map(|t| self.tet_volume(t).abs()).sum()
     }
 }

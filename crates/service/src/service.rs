@@ -648,7 +648,7 @@ impl SolverService {
                     .threads(res.rescue_threads.max(1))
                     .t_max(q.spec.t_max)
                     .retry(retry)
-                    .session_clock(clock_ref);
+                    .clock(clock_ref);
                 if let Some(t) = q.spec.tol {
                     solver = solver.tolerance(t);
                 }

@@ -77,8 +77,10 @@ impl ShardMap {
         &self.ranges
     }
 
-    /// The shard owning row (or column) `i`.
-    pub fn owner_of(&self, i: usize) -> usize {
+    /// The shard owning row (or column) `i`: the tests' reference for the
+    /// ghost lists.
+    #[cfg(test)]
+    fn owner_of(&self, i: usize) -> usize {
         self.ranges.partition_point(|r| r.end <= i)
     }
 

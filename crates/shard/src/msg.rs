@@ -154,24 +154,6 @@ impl Msg {
     pub fn is_control(&self) -> bool {
         matches!(self, Msg::Stop | Msg::Done { .. } | Msg::Evict)
     }
-
-    /// Stable lowercase kind name (diagnostics and fingerprints).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Msg::Halo { .. } => "halo",
-            Msg::Residual { .. } => "residual",
-            Msg::PartialNorm { .. } => "partial_norm",
-            Msg::Correction { .. } => "correction",
-            Msg::NormComplete { .. } => "norm_complete",
-            Msg::Checkpoint { .. } => "checkpoint",
-            Msg::Adopt { .. } => "adopt",
-            Msg::Ack { .. } => "ack",
-            Msg::Reliable { .. } => "reliable",
-            Msg::Stop => "stop",
-            Msg::Done { .. } => "done",
-            Msg::Evict => "evict",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -187,11 +169,6 @@ mod tests {
         assert!(!Msg::NormComplete { epoch: 0, relres: 1.0 }.is_control());
         assert!(!Msg::Checkpoint { from: 0, epoch: 0, ver: 0, vals: vec![] }.is_control());
         assert!(!Msg::Ack { from: 0, seq: 0 }.is_control());
-        assert_eq!(Msg::Stop.kind_name(), "stop");
-        assert_eq!(
-            Msg::PartialNorm { from: 0, epoch: 1, ver: 0, sumsq: 2.0 }.kind_name(),
-            "partial_norm"
-        );
     }
 
     /// The reliable wrapper is droppable data even when it carries a
@@ -201,10 +178,7 @@ mod tests {
     fn reliable_wrapper_is_droppable_data() {
         let wrapped = Msg::Reliable { seq: 7, inner: Box::new(Msg::Stop) };
         assert!(!wrapped.is_control());
-        assert_eq!(wrapped.kind_name(), "reliable");
         let adopt = Msg::Adopt { index: 0, dead: 1, adopter: 0, vals: vec![1.0] };
         assert!(!adopt.is_control());
-        assert_eq!(adopt.kind_name(), "adopt");
-        assert_eq!(Msg::Evict.kind_name(), "evict");
     }
 }

@@ -4,7 +4,7 @@
 //! [`Msg::PartialNorm`](crate::Msg::PartialNorm) at the hub and move on. The
 //! hub feeds every arrival into a [`NormReducer`], which completes an epoch
 //! the moment all `parts` contributions are in — the AMReX
-//! `comm_complete`-style flag is [`NormReducer::is_complete`] — and
+//! `comm_complete`-style test is [`NormReducer::try_complete`] — and
 //! publishes completions in strictly increasing epoch order no matter how
 //! the network reordered the arrivals: completing an epoch retires every
 //! older pending epoch, so a straggling epoch can never be published after
@@ -53,11 +53,6 @@ impl NormReducer {
         slot.1 += sumsq;
     }
 
-    /// The `comm_complete` flag: whether `epoch` has every contribution.
-    pub fn is_complete(&self, epoch: u64) -> bool {
-        self.pending.get(&epoch).is_some_and(|&(c, _)| c >= self.parts)
-    }
-
     /// Publishes the next complete epoch, if any: the smallest complete
     /// pending epoch, retiring everything at or below it. Call in a loop to
     /// drain. Published epochs are strictly increasing across the reducer's
@@ -76,11 +71,6 @@ impl NormReducer {
         let norm = sumsq.max(0.0).sqrt();
         let relres = if self.norm_b > 0.0 { norm / self.norm_b } else { norm };
         Some(Reduction { epoch, relres, parts: self.parts })
-    }
-
-    /// Number of epochs with outstanding contributions.
-    pub fn pending_epochs(&self) -> usize {
-        self.pending.len()
     }
 
     /// Contributions currently required per epoch.
@@ -114,10 +104,8 @@ mod tests {
         let mut red = NormReducer::new(3, 2.0);
         red.offer(0, 1.0);
         red.offer(0, 1.0);
-        assert!(!red.is_complete(0));
         assert!(red.try_complete().is_none());
         red.offer(0, 2.0);
-        assert!(red.is_complete(0));
         let r = red.try_complete().unwrap();
         assert_eq!(r.epoch, 0);
         assert_eq!(r.parts, 3);
@@ -134,7 +122,7 @@ mod tests {
         // Epoch 3 arrives late: never published, never accumulated.
         red.offer(3, 9.0);
         assert!(red.try_complete().is_none());
-        assert_eq!(red.pending_epochs(), 0);
+        assert!(red.pending.is_empty());
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl SmootherKind {
             SmootherKind::AsyncGs => "async GS",
         }
     }
-
-    /// Whether this smoother runs block Gauss-Seidel sweeps (hybrid/async).
-    pub fn is_block_gs(&self) -> bool {
-        matches!(self, SmootherKind::HybridJgs | SmootherKind::AsyncGs)
-    }
 }
 
 /// A smoother bound to one level's matrix: precomputed weights and block
@@ -138,7 +133,7 @@ impl LevelSmoother {
     /// One block of `apply_zero` (GS variants): forward solve with the block
     /// lower triangle, zero initial guess. Rows outside `block` are not
     /// touched and treated as zero.
-    pub fn apply_zero_block(&self, a: &Csr, r: &[f64], e: &mut [f64], block: usize) {
+    fn apply_zero_block(&self, a: &Csr, r: &[f64], e: &mut [f64], block: usize) {
         let range = self.blocks[block].clone();
         match self.kind {
             SmootherKind::WJacobi { .. } | SmootherKind::L1Jacobi => {
@@ -328,7 +323,7 @@ impl LevelSmoother {
         self.apply_zero_range(a.csr(), r, e_block, range);
     }
 
-    /// Team-parallel variant of [`Self::apply_zero_block`] writing into the
+    /// Team-parallel form of one block of [`Self::apply_zero`], writing into the
     /// caller's *block-local* slice `e_block` (`e_block.len() == range.len()`,
     /// holding rows `range`). For the GS variants, `range` must be one of the
     /// smoother's block ranges so the forward solve stays inside the slice.
@@ -820,7 +815,5 @@ mod tests {
         assert_eq!(SmootherKind::L1Jacobi.name(), "l1-Jacobi");
         assert_eq!(SmootherKind::HybridJgs.name(), "hybrid JGS");
         assert_eq!(SmootherKind::AsyncGs.name(), "async GS");
-        assert!(SmootherKind::AsyncGs.is_block_gs());
-        assert!(!SmootherKind::L1Jacobi.is_block_gs());
     }
 }

@@ -74,7 +74,7 @@ impl AtomicF64Vec {
     }
 
     /// Copies elements `range` into `dst[range]` (relaxed loads).
-    pub fn snapshot_rows(&self, range: std::ops::Range<usize>, dst: &mut [f64]) {
+    fn snapshot_rows(&self, range: std::ops::Range<usize>, dst: &mut [f64]) {
         for i in range {
             dst[i] = self.load(i);
         }

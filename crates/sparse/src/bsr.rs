@@ -172,11 +172,6 @@ impl Bsr {
         self.ncols
     }
 
-    /// Block edge length.
-    pub fn block_size(&self) -> usize {
-        self.b
-    }
-
     /// Number of stored blocks.
     pub fn nblocks(&self) -> usize {
         self.col_idx.len()
@@ -296,7 +291,7 @@ impl Bsr {
     /// block `i` of the result is `A[ib..(i+1)b, ib..(i+1)b]`. Absent
     /// diagonal blocks come back zero-filled (consistent with
     /// [`Csr::diag`]'s zero for a missing diagonal).
-    pub fn diag_blocks(&self) -> Vec<f64> {
+    fn diag_blocks(&self) -> Vec<f64> {
         let b = self.b;
         let nbr = self.nrows / b;
         let mut out = vec![0.0; nbr * b * b];
@@ -747,7 +742,7 @@ mod tests {
             let mut yc = vec![0.0; a.nrows()];
             let mut yb = vec![0.0; a.nrows()];
             a.spmv(&x, &mut yc);
-            for mode in [SimdMode::Off, SimdMode::Force] {
+            for mode in [SimdMode::Off, SimdMode::Auto] {
                 set_mode(mode);
                 bsr.spmv(&x, &mut yb);
                 for i in 0..yc.len() {
@@ -875,7 +870,7 @@ mod proptests {
         }
 
         // Satellite: BSR spmv/residual bitwise-equal to the CSR kernels on
-        // block-aligned matrices, with the SIMD path both off and forced.
+        // block-aligned matrices, with the SIMD path both off and on.
         #[test]
         fn spmv_bitwise_equals_csr(
             nbr in 1usize..8,
@@ -894,7 +889,7 @@ mod proptests {
             let mut rb = vec![0.0; a.nrows()];
             a.spmv(&x, &mut yc);
             a.residual(&rhs, &x, &mut rc);
-            for mode in [SimdMode::Off, SimdMode::Force] {
+            for mode in [SimdMode::Off, SimdMode::Auto] {
                 set_mode(mode);
                 bsr.spmv(&x, &mut yb);
                 bsr.residual(&rhs, &x, &mut rb);

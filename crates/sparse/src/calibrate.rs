@@ -8,9 +8,6 @@
 //! * the **serial/parallel crossover** for the setup-phase kernels (the
 //!   smallest matrix where a 2-thread transpose beats the serial one), which
 //!   drives [`auto_setup_threads`](crate::parallel::auto_setup_threads);
-//! * the **scalar/SIMD speedup** of the across-row kernels — the stencil
-//!   plan's SpMV against scalar per-row dots on a banded operator (the
-//!   per-row `dot4` is scalar on x86-64 in either mode, see [`crate::simd`]);
 //! * the **CSR/BSR speedup** on a 3×3 block-dense operator, which drives
 //!   `KernelSelect::Auto`.
 //!
@@ -25,9 +22,9 @@
 //!   absent or stale caches silently fall back to the built-in defaults.
 //!   Setting `ASYNCMG_CALIBRATE=1` additionally measures-and-saves on first
 //!   use (opt-in, for long-running production processes).
-//! * [`ensure_measured`] measures and saves unconditionally; the
-//!   `calibrate` bin in `asyncmg-bench` (see `tools/calibrate.sh`) and the
-//!   benches call it explicitly.
+//! * [`Calibration::measure`] and [`Calibration::save`] measure and save
+//!   unconditionally; the `calibrate` bin in `asyncmg-bench` (see
+//!   `tools/calibrate.sh`) calls them explicitly.
 //!
 //! Whatever the calibration says, results never change — kernel and thread
 //! choices are bit-transparent by construction — and the values are clamped
@@ -44,7 +41,7 @@ use std::time::Instant;
 
 /// Format version of the cache file; bump when the measurement scheme or
 /// schema changes so stale caches re-measure instead of mis-parsing.
-pub const CALIBRATION_VERSION: u32 = 1;
+pub const CALIBRATION_VERSION: u32 = 2;
 
 /// Floor for the calibrated parallel-crossover threshold: below this many
 /// nonzeros a fork-join can never pay for itself, and the clamp keeps the
@@ -89,31 +86,22 @@ pub struct Calibration {
     pub min_nnz_per_thread: usize,
     /// Largest setup-kernel team worth forking on this host.
     pub max_setup_threads: usize,
-    /// Measured speedup of the across-row (stencil-plan) SpMV over scalar
-    /// per-row dots on a banded operator (1.0 when unsupported). Says
-    /// nothing about the per-row `dot4`, which has no SIMD variant on x86-64.
-    pub simd_speedup: f64,
     /// Measured BSR-over-CSR SpMV speedup on a 3×3 block operator.
     pub bsr_speedup: f64,
-    /// Whether the across-row kernels paid off here (`simd_speedup` ≥ 1.05).
-    pub use_simd: bool,
     /// Whether `KernelSelect::Auto` should install BSR operators.
     pub use_bsr: bool,
 }
 
 impl Default for Calibration {
     /// The built-in assumptions used when no calibration is cached: the
-    /// historical 64 Ki-nnz crossover, up to 8 setup threads, and "the
-    /// across-row SIMD kernels and BSR are worth it wherever
-    /// supported/applicable".
+    /// historical 64 Ki-nnz crossover, up to 8 setup threads, and "BSR is
+    /// worth it wherever applicable".
     fn default() -> Calibration {
         Calibration {
             fingerprint: HostFingerprint::current(),
             min_nnz_per_thread: 64 * 1024,
             max_setup_threads: MAX_SETUP_THREADS_CAP,
-            simd_speedup: 1.0,
             bsr_speedup: 1.0,
-            use_simd: simd::supported(),
             use_bsr: true,
         }
     }
@@ -143,16 +131,14 @@ impl Calibration {
     /// Serialises to the cache-file JSON.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"version\": {},\n  \"fingerprint\": {{ \"arch\": \"{}\", \"nproc\": {}, \"simd\": \"{}\" }},\n  \"min_nnz_per_thread\": {},\n  \"max_setup_threads\": {},\n  \"simd_speedup\": {:.3},\n  \"bsr_speedup\": {:.3},\n  \"use_simd\": {},\n  \"use_bsr\": {}\n}}\n",
+            "{{\n  \"version\": {},\n  \"fingerprint\": {{ \"arch\": \"{}\", \"nproc\": {}, \"simd\": \"{}\" }},\n  \"min_nnz_per_thread\": {},\n  \"max_setup_threads\": {},\n  \"bsr_speedup\": {:.3},\n  \"use_bsr\": {}\n}}\n",
             CALIBRATION_VERSION,
             self.fingerprint.arch,
             self.fingerprint.nproc,
             self.fingerprint.simd,
             self.min_nnz_per_thread,
             self.max_setup_threads,
-            self.simd_speedup,
             self.bsr_speedup,
-            self.use_simd,
             self.use_bsr,
         )
     }
@@ -171,9 +157,7 @@ impl Calibration {
             },
             min_nnz_per_thread: json_num(s, "min_nnz_per_thread")? as usize,
             max_setup_threads: json_num(s, "max_setup_threads")? as usize,
-            simd_speedup: json_num(s, "simd_speedup")?,
             bsr_speedup: json_num(s, "bsr_speedup")?,
-            use_simd: json_bool(s, "use_simd")?,
             use_bsr: json_bool(s, "use_bsr")?,
         })
     }
@@ -211,22 +195,9 @@ impl Calibration {
 
     /// Runs the measurement pass (a few hundred milliseconds) and returns
     /// the resulting calibration. Does not touch the cache; see
-    /// [`ensure_measured`].
+    /// [`Calibration::save`].
     pub fn measure() -> Calibration {
         let fp = HostFingerprint::current();
-
-        // --- scalar per-row dots vs the across-row stencil plan (what
-        //     `Force` selects on a banded operator) on 27-entry rows ---
-        let a = banded_csr(24_000, 27);
-        let x = vec![1.0 / 3.0; a.ncols()];
-        let mut y = vec![0.0; a.nrows()];
-        let prev = simd::mode();
-        simd::set_mode(simd::SimdMode::Off);
-        let t_scalar = time_min(5, || a.spmv(&x, &mut y));
-        simd::set_mode(simd::SimdMode::Force);
-        let t_simd = time_min(5, || a.spmv(&x, &mut y));
-        simd::set_mode(prev);
-        let simd_speedup = if simd::supported() && t_simd > 0.0 { t_scalar / t_simd } else { 1.0 };
 
         // --- CSR vs BSR SpMV on a 3×3 block-dense operator (compared with
         //     the ambient SIMD setting on both sides) ---
@@ -264,9 +235,7 @@ impl Calibration {
             fingerprint: fp,
             min_nnz_per_thread,
             max_setup_threads,
-            simd_speedup,
             bsr_speedup,
-            use_simd: simd::supported() && simd_speedup >= 1.05,
             use_bsr: bsr_speedup >= 1.05,
         }
         .clamped()
@@ -295,15 +264,6 @@ pub fn get() -> Option<&'static Calibration> {
             None
         })
         .as_ref()
-}
-
-/// Measures now, saves to the cache and installs the result process-wide
-/// (unless [`get`] already resolved). For the `calibrate` bin and benches.
-pub fn ensure_measured() -> Calibration {
-    let c = Calibration::measure();
-    let _ = c.save();
-    let _ = LOADED.set(Some(c.clone()));
-    c
 }
 
 /// Best-of-`reps` wall time of `f`, in seconds.
@@ -397,9 +357,7 @@ mod tests {
             fingerprint: HostFingerprint { arch: "x86_64".into(), nproc: 4, simd: "avx2".into() },
             min_nnz_per_thread: 123_456,
             max_setup_threads: 4,
-            simd_speedup: 2.125,
             bsr_speedup: 1.5,
-            use_simd: true,
             use_bsr: false,
         };
         let parsed = Calibration::from_json(&cal.to_json()).unwrap();
@@ -415,6 +373,20 @@ mod tests {
         );
         assert!(Calibration::from_json(&bumped).is_none());
         assert!(Calibration::from_json("not json at all").is_none());
+        // A cache file as format version 1 wrote it: ignored whole, not
+        // read for the fields the two versions share.
+        let v1 = r#"{
+  "version": 1,
+  "fingerprint": { "arch": "x86_64", "nproc": 4, "simd": "avx2" },
+  "min_nnz_per_thread": 123456,
+  "max_setup_threads": 4,
+  "simd_speedup": 2.125,
+  "bsr_speedup": 1.500,
+  "use_simd": true,
+  "use_bsr": false
+}
+"#;
+        assert!(Calibration::from_json(v1).is_none());
     }
 
     #[test]

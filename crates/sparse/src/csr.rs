@@ -453,14 +453,6 @@ impl Csr {
         Csr { nrows: n, ncols: n, row_ptr, col_idx, vals, plan: OnceLock::new() }
     }
 
-    /// A diagonal matrix with the given diagonal.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let row_ptr = (0..=n as u32).collect();
-        let col_idx = (0..n as u32).collect();
-        Csr { nrows: n, ncols: n, row_ptr, col_idx, vals: diag.to_vec(), plan: OnceLock::new() }
-    }
-
     /// Number of rows.
     #[inline]
     pub fn nrows(&self) -> usize {
@@ -661,31 +653,15 @@ impl Csr {
         self.residual_rows(0..self.nrows, b, x, r);
     }
 
-    /// Multi-RHS single-row kernel: `out[c] = (A x_c)_i` for each of the
-    /// `nrhs` column vectors stored contiguously in `x` (column-major: column
-    /// `c` occupies `x[c·ncols .. (c+1)·ncols]`).
-    ///
-    /// The row's `vals`/`col_idx` slices are loaded once and reused across
-    /// all columns, but each column accumulates in exactly the [`Csr::row_dot`]
-    /// order (the shared `dot4` scheme), so column `c` of a blocked kernel is
-    /// bit-identical to a single-RHS `row_dot` against `x_c`.
-    #[inline]
-    pub fn row_dot_block(&self, i: usize, nrhs: usize, x: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.ncols * nrhs);
-        debug_assert!(out.len() >= nrhs);
-        let lo = self.row_ptr[i] as usize;
-        let hi = self.row_ptr[i + 1] as usize;
-        let (vals, cols) = (&self.vals[lo..hi], &self.col_idx[lo..hi]);
-        dot4_block(vals, cols, nrhs, self.ncols, x, |c, v| out[c] = v);
-    }
-
     /// Blocked SpMM `Y = A X` over `nrhs` column vectors.
     ///
     /// `x` holds `nrhs` columns of length `ncols` back to back; `y` receives
     /// `nrhs` columns of length `nrows` in the same layout. Column `c` of the
-    /// result is bit-identical to `spmv` applied to column `c` alone (see
-    /// [`Csr::row_dot_block`]); the blocked form only amortises the matrix
-    /// structure traversal across the columns.
+    /// result is bit-identical to `spmv` applied to column `c` alone: the
+    /// row's `vals`/`col_idx` slices are loaded once and reused across all
+    /// columns, but each column accumulates in exactly the [`Csr::row_dot`]
+    /// order (the shared `dot4` scheme). The blocked form only amortises the
+    /// matrix structure traversal across the columns.
     pub fn spmv_block(&self, nrhs: usize, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols * nrhs, "x must hold nrhs columns of length ncols");
         assert_eq!(y.len(), self.nrows * nrhs, "y must hold nrhs columns of length nrows");
@@ -772,13 +748,6 @@ impl Csr {
         self.vals.iter().zip(&t.vals).all(|(a, b)| (a - b).abs() <= tol)
     }
 
-    /// Infinity norm `max_i Σ_j |a_ij|`.
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.nrows)
-            .map(|i| self.row(i).1.iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-
     /// Scales row `i` by `s[i]` in place (`A ← diag(s) A`).
     pub fn scale_rows(&mut self, s: &[f64]) {
         assert_eq!(s.len(), self.nrows);
@@ -802,24 +771,6 @@ impl Csr {
             }
         }
         d
-    }
-
-    /// Drops stored entries with `|a_ij| <= tol`, keeping the diagonal.
-    pub fn drop_small(&self, tol: f64) -> Csr {
-        let mut row_ptr = vec![0u32; self.nrows + 1];
-        let mut col_idx = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
-        for i in 0..self.nrows {
-            let (cols, vs) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vs) {
-                if v.abs() > tol || j as usize == i {
-                    col_idx.push(j);
-                    vals.push(v);
-                }
-            }
-            row_ptr[i + 1] = col_idx.len() as u32;
-        }
-        Csr { nrows: self.nrows, ncols: self.ncols, row_ptr, col_idx, vals, plan: OnceLock::new() }
     }
 }
 
@@ -944,11 +895,6 @@ mod tests {
         assert_eq!(full, split);
     }
 
-    #[test]
-    fn norm_inf_small() {
-        assert_eq!(small().norm_inf(), 4.0);
-    }
-
     /// An irregular matrix with row lengths straddling the 4-way unroll
     /// boundary (1..=6 nonzeros per row), to exercise both the unrolled body
     /// and the tail of `dot4` in the blocked kernels.
@@ -974,21 +920,6 @@ mod tests {
                 ((s >> 11) as f64) / ((1u64 << 53) as f64) - 0.5
             })
             .collect()
-    }
-
-    #[test]
-    fn row_dot_block_matches_row_dot_bitwise() {
-        let a = irregular(23);
-        let nrhs = 5;
-        let x = columns(23, nrhs);
-        let mut out = vec![0.0; nrhs];
-        for i in 0..a.nrows() {
-            a.row_dot_block(i, nrhs, &x, &mut out);
-            for c in 0..nrhs {
-                let solo = a.row_dot(i, &x[c * 23..(c + 1) * 23]);
-                assert_eq!(out[c].to_bits(), solo.to_bits(), "row {i} col {c}");
-            }
-        }
     }
 
     #[test]
@@ -1036,18 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_small_keeps_diagonal() {
-        let mut c = Coo::new(2, 2);
-        c.push(0, 0, 1e-14);
-        c.push(0, 1, 1.0);
-        c.push(1, 1, 2.0);
-        let a = c.to_csr().drop_small(1e-12);
-        assert_eq!(a.get(0, 0), 1e-14); // diagonal kept
-        assert_eq!(a.get(0, 1), 1.0);
-        assert_eq!(a.nnz(), 3);
-    }
-
-    #[test]
     fn scale_rows_applies() {
         let mut a = small();
         a.scale_rows(&[1.0, 2.0, 0.5]);
@@ -1059,7 +978,10 @@ mod tests {
     fn validate_accepts_well_formed_matrices() {
         assert_eq!(small().validate(), Ok(()));
         assert_eq!(Csr::identity(5).validate(), Ok(()));
-        assert_eq!(Csr::from_diag(&[1.0, -2.0]).validate(), Ok(()));
+        assert_eq!(
+            Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, -2.0]).validate(),
+            Ok(())
+        );
     }
 
     #[test]

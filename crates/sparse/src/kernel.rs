@@ -269,7 +269,7 @@ mod proptests {
         let x = vector(op.ncols(), seed);
         let b = vector(n, seed ^ 0x5eed);
         let _guard = test_mode_lock();
-        for mode in [SimdMode::Off, SimdMode::Force] {
+        for mode in [SimdMode::Off, SimdMode::Auto] {
             set_mode(mode);
             let (mut y, mut r) = (vec![0.0; n], vec![0.0; n]);
             op.spmv(&x, &mut y);
@@ -335,9 +335,8 @@ mod proptests {
             return;
         }
         let _guard = test_mode_lock();
-        set_mode(SimdMode::Force);
-        assert!(banded(64, 3, 1).stencil_stats().is_some());
         set_mode(SimdMode::Auto);
+        assert!(banded(64, 3, 1).stencil_stats().is_some());
     }
 
     #[test]

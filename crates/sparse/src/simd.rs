@@ -25,9 +25,9 @@
 //! variant that fetches `x` with scalar loads (no vector gather to lose to).
 //!
 //! Selection is process-global: the `ASYNCMG_SIMD` environment variable
-//! (`off`/`0`/`scalar` disables, `force`/`on`/`1` forces, anything else
+//! (`off`/`0`/`scalar` disables; anything else, `force`/`on`/`1` included,
 //! auto-detects) read once at first use, overridable at runtime with
-//! [`set_mode`] (a test/bench/calibration knob). Because every SIMD kernel is
+//! [`set_mode`] (a test/calibration knob). Because every SIMD kernel is
 //! bit-identical to the scalar one, switching modes never changes any
 //! numerical result — only which instructions produce it.
 
@@ -36,47 +36,42 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// How the explicit-SIMD kernels (stencil plan, BSR block rows, NEON `dot4`)
 /// are picked over their scalar twins.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum SimdMode {
     /// Use SIMD when the CPU supports it (the default).
-    Auto,
-    /// Use SIMD whenever the CPU supports it, even if a calibration pass
-    /// judged it unprofitable. Falls back to scalar on unsupporting hardware
-    /// (the instructions cannot be executed there).
-    Force,
+    Auto = 1,
     /// Always use the scalar loop.
-    Off,
+    Off = 2,
 }
 
-// 0 = unresolved (read env on first use), then 1/2/3 = Auto/Force/Off.
+// 0 = unresolved (read env on first use), otherwise a `SimdMode as u8`.
 static MODE: AtomicU8 = AtomicU8::new(0);
 
-fn mode_from_env() -> u8 {
-    match std::env::var("ASYNCMG_SIMD").ok().as_deref() {
-        Some("off") | Some("0") | Some("scalar") => 3,
-        Some("force") | Some("on") | Some("1") => 2,
-        _ => 1,
+/// The mode an `ASYNCMG_SIMD` value selects. `force`/`on`/`1` are accepted
+/// spellings of the default: `Auto` already uses SIMD wherever the CPU can
+/// run it, so there is nothing further to force.
+fn mode_from(value: Option<&str>) -> SimdMode {
+    match value {
+        Some("off") | Some("0") | Some("scalar") => SimdMode::Off,
+        _ => SimdMode::Auto,
     }
 }
 
-/// Overrides the SIMD mode for this process (tests, benches and the
-/// calibration pass use this; production code normally leaves the
-/// environment-derived default alone). Numerical results are unaffected —
-/// the SIMD paths are bit-identical to the scalar one.
+/// Overrides the SIMD mode for this process (tests and the calibration
+/// guard use this; production code normally leaves the environment-derived
+/// default alone). Numerical results are unaffected — the SIMD paths are
+/// bit-identical to the scalar one.
 pub fn set_mode(mode: SimdMode) {
-    let v = match mode {
-        SimdMode::Auto => 1,
-        SimdMode::Force => 2,
-        SimdMode::Off => 3,
-    };
-    MODE.store(v, Ordering::Relaxed);
+    MODE.store(mode as u8, Ordering::Relaxed);
 }
 
 /// The currently selected [`SimdMode`].
+#[inline]
 pub fn mode() -> SimdMode {
-    match resolve_mode() {
-        2 => SimdMode::Force,
-        3 => SimdMode::Off,
-        _ => SimdMode::Auto,
+    if resolve_mode() == SimdMode::Off as u8 {
+        SimdMode::Off
+    } else {
+        SimdMode::Auto
     }
 }
 
@@ -86,7 +81,7 @@ fn resolve_mode() -> u8 {
     if m != 0 {
         return m;
     }
-    let m = mode_from_env();
+    let m = mode_from(std::env::var("ASYNCMG_SIMD").ok().as_deref()) as u8;
     // A racing set_mode wins: only replace the unresolved sentinel.
     let _ = MODE.compare_exchange(0, m, Ordering::Relaxed, Ordering::Relaxed);
     MODE.load(Ordering::Relaxed)
@@ -114,10 +109,7 @@ pub fn supported() -> bool {
 /// [`SimdMode::Off`] and the CPU [`supported`] them.
 #[inline]
 pub fn active() -> bool {
-    match resolve_mode() {
-        3 => false,
-        _ => supported(),
-    }
+    mode() == SimdMode::Auto && supported()
 }
 
 /// Whether the widened AVX-512 variants of the blocked and stencil kernels
@@ -138,21 +130,10 @@ pub fn avx512_supported() -> bool {
     }
 }
 
-/// The instruction set the across-row and block-row kernels would use right
-/// now, for host fingerprints and bench reports: `"avx512"`, `"avx2"`,
-/// `"neon"` or `"scalar"`. (The per-row [`dot4`] is scalar on x86-64 whatever
-/// this says.)
-pub fn feature_name() -> &'static str {
-    if !active() {
-        return "scalar";
-    }
-    capability_name()
-}
-
 /// The best vector capability this CPU *has*, independent of the current
-/// mode: what [`feature_name`] would report with SIMD enabled. Host
-/// fingerprints in bench reports use this so a scalar-mode measurement still
-/// records what the machine supports.
+/// mode: `"avx512"`, `"avx2"`, `"neon"` or `"scalar"`. Host fingerprints use
+/// this so a scalar-mode measurement still records what the machine supports.
+/// (The per-row [`dot4`] is scalar on x86-64 whatever this says.)
 pub fn capability_name() -> &'static str {
     if !supported() {
         return "scalar";
@@ -319,14 +300,11 @@ mod tests {
             let vals = mixed(n, 2 + n as u64);
             let cols = cols_mod(n, x.len(), 3 + n as u64);
             let scalar = dot4_scalar(&vals, &cols, &x);
-            set_mode(SimdMode::Force);
-            let forced = dot4(&vals, &cols, &x);
             set_mode(SimdMode::Auto);
             let auto = dot4(&vals, &cols, &x);
             set_mode(SimdMode::Off);
             let off = dot4(&vals, &cols, &x);
             set_mode(SimdMode::Auto);
-            assert_eq!(forced.to_bits(), scalar.to_bits(), "force, n={n}");
             assert_eq!(auto.to_bits(), scalar.to_bits(), "auto, n={n}");
             assert_eq!(off.to_bits(), scalar.to_bits(), "off, n={n}");
         }
@@ -338,21 +316,15 @@ mod tests {
         set_mode(SimdMode::Off);
         assert_eq!(mode(), SimdMode::Off);
         assert!(!active());
-        set_mode(SimdMode::Force);
-        assert_eq!(mode(), SimdMode::Force);
         set_mode(SimdMode::Auto);
         assert_eq!(mode(), SimdMode::Auto);
         assert_eq!(active(), supported());
-    }
 
-    #[test]
-    fn feature_name_is_consistent() {
-        let _guard = test_mode_lock();
-        set_mode(SimdMode::Off);
-        assert_eq!(feature_name(), "scalar");
-        set_mode(SimdMode::Auto);
-        if supported() {
-            assert_ne!(feature_name(), "scalar");
+        for v in [None, Some("auto"), Some("force"), Some("on"), Some("1")] {
+            assert_eq!(mode_from(v), SimdMode::Auto, "{v:?}");
+        }
+        for v in [Some("off"), Some("0"), Some("scalar")] {
+            assert_eq!(mode_from(v), SimdMode::Off, "{v:?}");
         }
     }
 }
@@ -386,7 +358,7 @@ mod proptests {
             let vals: Vec<f64> = (0..n).map(|_| rng.gen_range(-1e3..1e3)).collect();
             let cols: Vec<u32> = (0..n).map(|_| rng.gen_range(0..xlen) as u32).collect();
             let reference = dot4_scalar(&vals, &cols, &x);
-            for m in [SimdMode::Force, SimdMode::Off, SimdMode::Auto] {
+            for m in [SimdMode::Off, SimdMode::Auto] {
                 set_mode(m);
                 let got = dot4(&vals, &cols, &x);
                 set_mode(SimdMode::Auto);

@@ -580,7 +580,7 @@ mod tests {
         let a = twenty_seven_pt(6);
         set_mode(SimdMode::Off);
         assert!(a.stencil_stats().is_none(), "no plan while SIMD is off");
-        set_mode(SimdMode::Force);
+        set_mode(SimdMode::Auto);
         let stats = a.stencil_stats().expect("27pt must be stencil-structured");
         // Every x-line interior (n − 2 of n rows) is covered.
         assert!(stats.covered_rows * 2 >= a.nrows());
@@ -596,7 +596,6 @@ mod tests {
             }
         }
         assert!(c.to_csr().stencil_stats().is_none());
-        set_mode(SimdMode::Auto);
     }
 
     #[test]
@@ -612,10 +611,9 @@ mod tests {
             set_mode(SimdMode::Off);
             a.spmv(&x, &mut y0);
             a.residual(&b, &x, &mut r0);
-            set_mode(SimdMode::Force);
+            set_mode(SimdMode::Auto);
             a.spmv(&x, &mut y1);
             a.residual(&b, &x, &mut r1);
-            set_mode(SimdMode::Auto);
             for i in 0..nr {
                 assert_eq!(y1[i].to_bits(), y0[i].to_bits(), "spmv n={n} row {i}");
                 assert_eq!(r1[i].to_bits(), r0[i].to_bits(), "residual n={n} row {i}");
@@ -635,7 +633,7 @@ mod tests {
         let mut reference = vec![0.0; nr];
         set_mode(SimdMode::Off);
         a.spmv(&x, &mut reference);
-        set_mode(SimdMode::Force);
+        set_mode(SimdMode::Auto);
         let mut y = vec![0.0; nr];
         for split in 0..=16usize {
             let mid = (nr / 3 + split).min(nr);
@@ -661,7 +659,6 @@ mod tests {
                 }
             }
         }
-        set_mode(SimdMode::Auto);
     }
 
     #[test]
@@ -671,7 +668,7 @@ mod tests {
         let x = dense_vec(a.ncols(), 9);
         let nr = a.nrows();
         let mut y = vec![0.0; nr];
-        set_mode(SimdMode::Force);
+        set_mode(SimdMode::Auto);
         a.spmv(&x, &mut y); // builds and uses the plan
         for v in a.vals_mut() {
             *v *= 2.0; // must drop the stale repack
@@ -728,7 +725,7 @@ mod tests {
             set_mode(SimdMode::Off);
             let mut yref = vec![0.0; nrows];
             a.spmv(&x, &mut yref);
-            set_mode(SimdMode::Force);
+            set_mode(SimdMode::Auto);
             let mut y = vec![0.0; nrows];
             a.spmv(&x, &mut y);
             let (mut c0, mut c1) = (cuts[0] % (nrows + 1), cuts[1] % (nrows + 1));
@@ -739,7 +736,6 @@ mod tests {
             a.spmv_rows(0..c0, &x, &mut yp[..c0]);
             a.spmv_rows(c0..c1, &x, &mut yp[c0..c1]);
             a.spmv_rows(c1..nrows, &x, &mut yp[c1..]);
-            set_mode(SimdMode::Auto);
             for i in 0..nrows {
                 prop_assert_eq!(y[i].to_bits(), yref[i].to_bits(), "full row {}", i);
                 prop_assert_eq!(yp[i].to_bits(), yref[i].to_bits(), "split row {}", i);

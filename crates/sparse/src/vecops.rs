@@ -4,20 +4,15 @@
 //! implementation; the `_rows` variants operate on a sub-range so a thread
 //! team can statically partition the loop.
 
-/// `y[rows] += alpha * x[rows]`.
-pub fn axpy_rows(rows: std::ops::Range<usize>, alpha: f64, x: &[f64], y: &mut [f64]) {
-    for i in rows {
+/// `y += alpha * x`.
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+    for i in 0..x.len() {
         y[i] += alpha * x[i];
     }
 }
 
-/// `y += alpha * x`.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    axpy_rows(0..x.len(), alpha, x, y);
-}
-
 /// Partial dot product over `rows`.
-pub fn dot_rows(rows: std::ops::Range<usize>, x: &[f64], y: &[f64]) -> f64 {
+fn dot_rows(rows: std::ops::Range<usize>, x: &[f64], y: &[f64]) -> f64 {
     rows.map(|i| x[i] * y[i]).sum()
 }
 
@@ -37,11 +32,6 @@ pub fn sumsq_rows(rows: std::ops::Range<usize>, x: &[f64]) -> f64 {
     rows.map(|i| x[i] * x[i]).sum()
 }
 
-/// `dst[rows] = src[rows]`.
-pub fn copy_rows(rows: std::ops::Range<usize>, src: &[f64], dst: &mut [f64]) {
-    dst[rows.clone()].copy_from_slice(&src[rows]);
-}
-
 /// `x[rows] = 0`.
 pub fn zero_rows(rows: std::ops::Range<usize>, x: &mut [f64]) {
     for v in &mut x[rows] {
@@ -53,13 +43,6 @@ pub fn zero_rows(rows: std::ops::Range<usize>, x: &mut [f64]) {
 pub fn scale_rows(rows: std::ops::Range<usize>, alpha: f64, x: &mut [f64]) {
     for v in &mut x[rows] {
         *v *= alpha;
-    }
-}
-
-/// `z[rows] = x[rows] - y[rows]`.
-pub fn sub_rows(rows: std::ops::Range<usize>, x: &[f64], y: &[f64], z: &mut [f64]) {
-    for i in rows {
-        z[i] = x[i] - y[i];
     }
 }
 
@@ -99,23 +82,16 @@ mod tests {
         let split = dot_rows(0..2, &x, &x) + dot_rows(2..4, &x, &x);
         assert_eq!(full, split);
 
-        let mut a = [0.0; 4];
-        copy_rows(1..3, &x, &mut a);
-        assert_eq!(a, [0.0, -2.0, 3.0, 0.0]);
-
+        let mut a = [0.0, -2.0, 3.0, 0.0];
         zero_rows(1..2, &mut a);
         assert_eq!(a, [0.0, 0.0, 3.0, 0.0]);
     }
 
     #[test]
-    fn sub_and_scale() {
-        let x = [5.0, 6.0];
-        let y = [1.0, 2.0];
-        let mut z = [0.0; 2];
-        sub_rows(0..2, &x, &y, &mut z);
-        assert_eq!(z, [4.0, 4.0]);
+    fn scale_rows_touches_only_the_range() {
+        let mut z = [4.0, 4.0, 4.0];
         scale_rows(0..2, 0.5, &mut z);
-        assert_eq!(z, [2.0, 2.0]);
+        assert_eq!(z, [2.0, 2.0, 4.0]);
     }
 
     #[test]

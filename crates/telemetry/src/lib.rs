@@ -106,18 +106,6 @@ impl FaultKind {
             _ => None,
         }
     }
-
-    /// Whether this event was injected by a fault plan (as opposed to a
-    /// recovery action the runtime took).
-    pub fn is_injected(self) -> bool {
-        matches!(
-            self,
-            FaultKind::Straggler { .. }
-                | FaultKind::TeamCrash { .. }
-                | FaultKind::WriteCorrupted { .. }
-                | FaultKind::WriteDropped { .. }
-        )
-    }
 }
 
 /// One entry of a solve's fault log.
@@ -323,14 +311,9 @@ mod tests {
         assert_eq!(FaultKind::Quarantined { grid: 3 }.name(), "quarantined");
         assert_eq!(FaultKind::Quarantined { grid: 3 }.grid(), Some(3));
         assert_eq!(FaultKind::Timeout.grid(), None);
-        assert!(FaultKind::TeamCrash { team: 1 }.is_injected());
-        assert!(!FaultKind::GuardTripped { grid: 0 }.is_injected());
-        // The sharded recovery events are actions, not injections, and are
-        // shard-scoped rather than grid-scoped.
+        // The sharded recovery events are shard-scoped rather than grid-scoped.
         assert_eq!(FaultKind::ShardDeclaredDead { shard: 2 }.name(), "shard_declared_dead");
         assert_eq!(FaultKind::RowsAdopted { from: 2, to: 1 }.name(), "rows_adopted");
-        assert!(!FaultKind::ShardDeclaredDead { shard: 2 }.is_injected());
-        assert!(!FaultKind::RowsAdopted { from: 2, to: 1 }.is_injected());
         assert_eq!(FaultKind::ShardDeclaredDead { shard: 2 }.grid(), None);
         assert_eq!(FaultKind::RowsAdopted { from: 2, to: 1 }.grid(), None);
     }

@@ -25,11 +25,6 @@ impl SpinBarrier {
         SpinBarrier { num: num.max(1), count: AtomicUsize::new(0), generation: AtomicUsize::new(0) }
     }
 
-    /// Number of participating threads.
-    pub fn participants(&self) -> usize {
-        self.num
-    }
-
     /// Blocks until all `num` threads have called `wait`.
     pub fn wait(&self) {
         if self.num == 1 {
@@ -119,7 +114,7 @@ mod tests {
     #[test]
     fn zero_participants_clamped() {
         let b = SpinBarrier::new(0);
-        assert_eq!(b.participants(), 1);
+        assert_eq!(b.num, 1);
         b.wait();
     }
 }

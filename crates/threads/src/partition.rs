@@ -72,21 +72,6 @@ impl GridTeamLayout {
             GridTeamLayout { teams, sizes }
         }
     }
-
-    /// Total number of threads in the layout.
-    pub fn total_threads(&self) -> usize {
-        self.sizes.iter().sum()
-    }
-
-    /// Number of teams.
-    pub fn nteams(&self) -> usize {
-        self.teams.len()
-    }
-
-    /// The team that owns grid `k`.
-    pub fn team_of_grid(&self, k: usize) -> usize {
-        self.teams.iter().position(|g| g.contains(&k)).expect("grid not owned by any team")
-    }
 }
 
 /// Splits `nthreads` into integer counts proportional to `work`, every count
@@ -154,19 +139,19 @@ mod tests {
     #[test]
     fn layout_one_team_per_grid() {
         let layout = GridTeamLayout::build(&[100.0, 25.0, 6.0], 12);
-        assert_eq!(layout.nteams(), 3);
-        assert_eq!(layout.total_threads(), 12);
+        assert_eq!(layout.teams.len(), 3);
+        assert_eq!(layout.sizes.iter().sum::<usize>(), 12);
         assert_eq!(layout.teams[0], vec![0]);
         assert!(layout.sizes[0] >= layout.sizes[1]);
         assert!(layout.sizes[1] >= layout.sizes[2]);
-        assert_eq!(layout.team_of_grid(2), 2);
+        assert_eq!(layout.teams[2], vec![2]);
     }
 
     #[test]
     fn layout_fewer_threads_than_grids() {
         let layout = GridTeamLayout::build(&[100.0, 25.0, 6.0, 2.0, 1.0], 2);
-        assert_eq!(layout.nteams(), 2);
-        assert_eq!(layout.total_threads(), 2);
+        assert_eq!(layout.teams.len(), 2);
+        assert_eq!(layout.sizes.iter().sum::<usize>(), 2);
         // Every grid owned exactly once.
         let mut grids: Vec<usize> = layout.teams.iter().flatten().copied().collect();
         grids.sort_unstable();
@@ -183,13 +168,13 @@ mod tests {
     fn layout_threads_equal_grids() {
         let layout = GridTeamLayout::build(&[5.0, 5.0, 5.0], 3);
         assert_eq!(layout.sizes, vec![1, 1, 1]);
-        assert_eq!(layout.nteams(), 3);
+        assert_eq!(layout.teams.len(), 3);
     }
 
     #[test]
     fn layout_single_grid() {
         let layout = GridTeamLayout::build(&[42.0], 6);
-        assert_eq!(layout.nteams(), 1);
+        assert_eq!(layout.teams.len(), 1);
         assert_eq!(layout.sizes, vec![6]);
     }
 }
@@ -231,10 +216,10 @@ mod proptests {
             prop_assert_eq!(grids, (0..work.len()).collect::<Vec<_>>());
             // Thread count preserved when threads >= grids.
             if nthreads >= work.len() {
-                prop_assert_eq!(layout.total_threads(), nthreads);
-                prop_assert_eq!(layout.nteams(), work.len());
+                prop_assert_eq!(layout.sizes.iter().sum::<usize>(), nthreads);
+                prop_assert_eq!(layout.teams.len(), work.len());
             } else {
-                prop_assert!(layout.nteams() <= nthreads);
+                prop_assert!(layout.teams.len() <= nthreads);
             }
             // No empty team.
             prop_assert!(layout.teams.iter().all(|t| !t.is_empty()));

@@ -322,11 +322,6 @@ impl VirtualSched {
         }
     }
 
-    /// `true` if delay injection is configured.
-    pub fn has_delay(&self) -> bool {
-        self.delay.is_some()
-    }
-
     /// The sequence of scheduling decisions made so far (worker global
     /// ranks, in decision order). Two runs interleave identically if and
     /// only if their decision sequences are equal.

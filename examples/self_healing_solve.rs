@@ -69,7 +69,7 @@ fn main() {
             .tolerance(1e-6)
             .t_max(400)
             .sched(&sched)
-            .session_clock(&clock)
+            .clock(&clock)
             .fault_plan(&plan)
             .sharded(n_shards)
             .recovery(Some(ShardRecovery::default()))

@@ -50,7 +50,7 @@ fn crashed_and_corrupted_session_escalates_and_converges() {
         .tolerance(1e-6)
         .fault_plan(&plan)
         .session_seed(0xFA17)
-        .session_clock(&clock)
+        .clock(&clock)
         .retry(RetryPolicy {
             max_attempts: 6,
             backoff: Duration::from_millis(2),
@@ -104,7 +104,7 @@ fn seeded_session_replays_bit_identically_with_virtual_backoff() {
             .tolerance(1e-6)
             .fault_plan(&plan)
             .session_seed(0xFA17)
-            .session_clock(&clock)
+            .clock(&clock)
             .retry(RetryPolicy {
                 max_attempts: 6,
                 backoff: Duration::from_millis(2),
@@ -143,7 +143,7 @@ fn virtual_clock_expires_the_watchdog_budget_without_sleeping() {
         .threads(4)
         .t_max(50_000_000)
         .timeout(Duration::from_millis(50))
-        .session_clock(&clock)
+        .clock(&clock)
         .run(&b);
     assert_eq!(report.outcome, SolveOutcome::Faulted);
     assert!(

@@ -185,7 +185,7 @@ fn sharded_solve_inherits_the_solver_clock_and_sched() {
         let result = Solver::new(&setup)
             .t_max(40)
             .sched(&sched)
-            .session_clock(&clock)
+            .clock(&clock)
             .sharded(2)
             .transport(&net)
             .recovery(Some(ShardRecovery::default()))
@@ -214,7 +214,7 @@ fn recovery_events_surface_in_trace_json() {
         .tolerance(1e-6)
         .t_max(200)
         .sched(&sched)
-        .session_clock(&clock)
+        .clock(&clock)
         .fault_plan(&plan)
         .sharded(4)
         .recovery(Some(ShardRecovery::default()))
