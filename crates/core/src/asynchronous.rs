@@ -23,14 +23,14 @@
 //! [`FaultPlan`] injects stragglers, permanent
 //! team crashes, and corrupted or dropped correction writes, while
 //! [`RecoveryOptions`] arms the countermeasures — non-finite/magnitude
-//! guards on corrections with per-level additive damping and quarantine
-//! (Murray & Weinzierl 2019), a watchdog thread (per-level stall detection
-//! from the correction-counter heartbeats, divergence rollback to the last
-//! known-good iterate, and a hard wall-clock budget), and a structured
-//! [`SolveOutcome`] with the fault log attached so a faulted solve reports
-//! instead of hanging. When neither a plan nor recovery is configured, none
-//! of the extra barriers or checks run, no thread besides the team workers
-//! exists, and the solver is bit-identical to the undefended runtime.
+//! guards on corrections with per-level scalar damping and quarantine, and
+//! a watchdog thread that enforces the hard wall-clock budget `max_wall`
+//! and does nothing else — and [`SolveOutcome::classify`] turns the final
+//! residual and the fault log into a structured outcome, so a faulted solve
+//! reports instead of hanging. When neither a plan nor recovery is
+//! configured, none of the extra barriers or checks run, no thread besides
+//! the team workers exists, and the solver is bit-identical to the
+//! undefended runtime.
 //!
 //! # Tolerance stopping
 //!
@@ -44,7 +44,6 @@
 //! replays tolerance-stopped runs bit for bit.
 
 use crate::additive::AdditiveMethod;
-use crate::resilience::CheckpointStore;
 use crate::setup::{CoarseSolve, MgSetup};
 use asyncmg_smoothers::{async_gs_sweep, LevelSmoother, SmootherKind};
 use asyncmg_sparse::{vecops, AtomicF64Vec, Csr};
@@ -106,8 +105,8 @@ impl StopCriterion {
     }
 }
 
-/// Relative residual at which a tolerance-stopped solve gives up as
-/// diverged: 10⁶ × the starting residual (`x₀ = 0`, so that is `‖b‖`).
+/// Relative residual at which a tolerance solve counts as diverged: 10⁶ ×
+/// the starting residual (`x₀ = 0`, so that is `‖b‖`).
 const DIVERGED: f64 = 1e6;
 
 /// Detection-and-recovery configuration for the asynchronous runtime.
@@ -131,27 +130,18 @@ pub struct RecoveryOptions {
     /// corrections stop being applied for the rest of the solve
     /// (0 = never quarantine).
     pub quarantine_after: usize,
-    /// Additive damping applied to a struck grid's subsequent corrections
-    /// (Murray & Weinzierl 2019): corrections are scaled by this factor
-    /// once a grid has at least one strike. 1.0 disables damping.
+    /// Scalar damping of a struck grid's subsequent corrections: once a
+    /// grid has at least one strike its corrections are multiplied by this
+    /// factor. 1.0 disables damping.
     pub damping: f64,
     /// Magnitude bound for the guard: any correction entry with absolute
     /// value above this is treated like a non-finite one.
     pub max_correction: f64,
-    /// Hard wall-clock budget for the whole solve. The watchdog raises the
-    /// stop flag and the result reports [`SolveOutcome::Faulted`] when it
-    /// is exceeded. `None` = unbounded.
+    /// Hard wall-clock budget for an asynchronous solve. A watchdog thread
+    /// (spawned only when this is set) raises the stop flag and the result
+    /// reports [`SolveOutcome::Faulted`] when it is exceeded. `None` =
+    /// unbounded.
     pub max_wall: Option<Duration>,
-    /// Per-grid stall window: a grid whose correction counter does not
-    /// advance within this duration (and is not finished) is quarantined
-    /// by the watchdog. `None` = no stall detection.
-    pub max_stall: Option<Duration>,
-    /// Divergence rollback: when the monitored relative residual exceeds
-    /// this factor times the best observed so far (or goes non-finite),
-    /// the shared iterate is restored from the last known-good snapshot.
-    /// Ignored for [`ResComp::ResidualBased`], whose incremental residual
-    /// cannot survive an iterate rewrite. `None` = no rollback.
-    pub rollback_factor: Option<f64>,
 }
 
 impl Default for RecoveryOptions {
@@ -162,17 +152,13 @@ impl Default for RecoveryOptions {
             damping: 1.0,
             max_correction: 1e12,
             max_wall: None,
-            max_stall: None,
-            rollback_factor: None,
         }
     }
 }
 
 impl RecoveryOptions {
     /// The full defensive posture: guards with quarantine after 3 strikes
-    /// and 0.5 damping, and a 60 s wall-clock budget. Stall detection and
-    /// rollback stay opt-in (they are wall-clock heuristics that can
-    /// misfire under heavily serialised test schedulers).
+    /// and 0.5 damping, and a 60 s wall-clock budget.
     pub fn defended() -> Self {
         RecoveryOptions {
             guard_corrections: true,
@@ -180,21 +166,12 @@ impl RecoveryOptions {
             damping: 0.5,
             max_correction: 1e8,
             max_wall: Some(Duration::from_secs(60)),
-            ..Default::default()
         }
     }
 
     /// Whether any defence is armed.
     pub fn any_enabled(&self) -> bool {
-        self.guard_corrections
-            || self.max_wall.is_some()
-            || self.max_stall.is_some()
-            || self.rollback_factor.is_some()
-    }
-
-    /// Whether the watchdog thread is needed.
-    fn needs_watchdog(&self) -> bool {
-        self.max_wall.is_some() || self.max_stall.is_some() || self.rollback_factor.is_some()
+        self.guard_corrections || self.max_wall.is_some()
     }
 
     /// Validates field ranges, returning a description of the first
@@ -208,21 +185,19 @@ impl RecoveryOptions {
         if self.max_correction.is_nan() || self.max_correction <= 0.0 {
             return Err(format!("recovery max_correction {} not positive", self.max_correction));
         }
-        if let Some(f) = self.rollback_factor {
-            if f.is_nan() || f <= 1.0 {
-                return Err(format!("recovery rollback_factor {f} must exceed 1"));
-            }
-        }
         Ok(())
     }
 }
 
-/// How a threaded solve ended.
+/// How a solve ended.
 ///
 /// Ordered by severity: a fault-free tolerance stop is `Converged`; a run
 /// that only exhausted its correction budget is `MaxIterations`; any run
 /// whose fault log is non-empty but which still produced a finite iterate
-/// is `Degraded`; a timed-out or non-finite run is `Faulted`.
+/// is `Degraded`; a timed-out, diverged or non-finite run is `Faulted`.
+/// Every solver family decides it with [`SolveOutcome::classify`].
+/// Declaration order is the severity ordinal (`outcome as u64`) that run
+/// fingerprints hash, so it is fixed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolveOutcome {
     /// The tolerance criterion was met (and nothing went wrong).
@@ -233,11 +208,35 @@ pub enum SolveOutcome {
     /// Faults were injected or recovery actions taken, but the solve still
     /// produced a finite iterate; consult the fault log.
     Degraded,
-    /// The solve timed out or its final residual is non-finite.
+    /// The solve timed out, diverged or its final residual is non-finite.
     Faulted,
 }
 
 impl SolveOutcome {
+    /// The one rule that decides how a solve ended, from its exact final
+    /// relative residual, its tolerance (`None` for count-based runs) and
+    /// its fault log:
+    ///
+    /// 1. `Faulted` — `relres` is non-finite, the log holds a
+    ///    [`FaultKind::Timeout`], or a tolerance run ended at `relres ≥ 10⁶`;
+    /// 2. otherwise `Degraded` — the log is non-empty;
+    /// 3. otherwise `Converged` — iff `relres < tol`;
+    /// 4. otherwise `MaxIterations`.
+    pub fn classify(relres: f64, tol: Option<f64>, faults: &[FaultRecord]) -> SolveOutcome {
+        if !relres.is_finite()
+            || faults.iter().any(|f| f.kind == FaultKind::Timeout)
+            || (tol.is_some() && relres >= DIVERGED)
+        {
+            SolveOutcome::Faulted
+        } else if !faults.is_empty() {
+            SolveOutcome::Degraded
+        } else if tol.is_some_and(|t| relres < t) {
+            SolveOutcome::Converged
+        } else {
+            SolveOutcome::MaxIterations
+        }
+    }
+
     /// `true` for the two non-pathological endings.
     pub fn is_ok(self) -> bool {
         matches!(self, SolveOutcome::Converged | SolveOutcome::MaxIterations)
@@ -415,8 +414,8 @@ struct TeamData {
     /// `stop_local`: published by the master, separated by a barrier).
     verdict: AtomicBool,
     /// Team-coherent quarantine snapshot for the grid about to correct
-    /// (the global flag is set asynchronously by the watchdog, so members
-    /// reading it directly could disagree and tear the barrier protocol).
+    /// (published by the master like `stop_local`, so every member takes
+    /// the same skip decision).
     skip_local: AtomicBool,
     /// Rounds this team has run, carried across the launches of a resumed
     /// solve so round-keyed fault decisions are not replayed. Written by the
@@ -441,13 +440,11 @@ struct Shared<'a, P: Probe + ?Sized> {
     opts: AsyncOptions,
     probe: &'a P,
     /// The clock every time-based decision reads ([`OsClock`] by default;
-    /// a [`VirtualClock`](asyncmg_threads::VirtualClock) makes watchdog
-    /// timeout paths deterministic and sleep-free in tests).
+    /// a [`VirtualClock`](asyncmg_threads::VirtualClock) makes the
+    /// watchdog's timeout deterministic and sleep-free in tests).
     clock: &'a dyn Clock,
     /// `clock.now_ns()` at solve start (probe timestamps are relative).
     start_ns: u64,
-    /// Watchdog checkpoint hook of the resilience session layer.
-    hook: Option<&'a CheckpointHook<'a>>,
     /// `‖b‖₂`, with zero replaced by 1 so relative residuals stay defined.
     norm_b: f64,
     /// The fault plan, when injecting.
@@ -456,8 +453,8 @@ struct Shared<'a, P: Probe + ?Sized> {
     /// check so undefended runs interleave bit-identically to the
     /// pre-recovery runtime.
     defended: bool,
-    /// Per-level quarantine flags (set by the guard or the watchdog, only
-    /// ever read team-coherently through `TeamData::skip_local`).
+    /// Per-level quarantine flags (set by the guard, only ever read
+    /// team-coherently through `TeamData::skip_local`).
     quarantined: Vec<AtomicBool>,
     /// Per-level flags for grids whose team crashed and left.
     dead: Vec<AtomicBool>,
@@ -475,8 +472,8 @@ struct Shared<'a, P: Probe + ?Sized> {
 
 impl<P: Probe + ?Sized> Shared<'_, P> {
     /// Nanoseconds since the solve epoch (for probe timestamps and the
-    /// watchdog's budget/stall arithmetic — all through the clock, so a
-    /// virtual clock controls every timeout path).
+    /// watchdog's budget — all through the clock, so a virtual clock
+    /// controls the timeout).
     #[inline]
     fn now_ns(&self) -> u64 {
         self.clock.now_ns().saturating_sub(self.start_ns)
@@ -526,44 +523,18 @@ impl<P: Probe + ?Sized> Shared<'_, P> {
 ///   execution (`!opts.sync`): a crashed team would deadlock the global
 ///   barriers of the synchronous driver.
 /// * `env.clock` — every time-based decision (the watchdog's `max_wall`
-///   budget, the `max_stall` windows, the sleeps between watchdog polls,
-///   all probe timestamps) reads it; a
-///   [`VirtualClock`](asyncmg_threads::VirtualClock) expires a timeout
+///   budget, the sleeps between its polls, all probe timestamps) reads it;
+///   a [`VirtualClock`](asyncmg_threads::VirtualClock) expires a timeout
 ///   deterministically in microseconds (see `docs/robustness.md`).
+///
+/// The outcome is [`SolveOutcome::classify`] of the exact final residual,
+/// the tolerance of a [`StopCriterion::Tolerance`] run and the fault log.
 pub fn solve_async<P: Probe + ?Sized>(
     setup: &MgSetup,
     b: &[f64],
     opts: &AsyncOptions,
     probe: &P,
     env: ExecEnv<'_>,
-) -> AsyncResult {
-    solve_async_impl(setup, b, opts, probe, env, None)
-}
-
-/// The watchdog checkpoint hook a resilience session installs: at
-/// `cadence` (and immediately after any quarantine event) the watchdog
-/// snapshots the shared iterate into `store` together with the relative
-/// residual it just computed.
-pub(crate) struct CheckpointHook<'a> {
-    /// Where snapshots accumulate (the session keeps the best across
-    /// attempts).
-    pub store: &'a CheckpointStore,
-    /// Minimum spacing between cadence-driven snapshots.
-    pub cadence: Duration,
-    /// The session attempt this solve is, for trace attribution.
-    pub attempt: u32,
-}
-
-/// [`solve_async`] with a [`CheckpointHook`]: the resilience session's
-/// internal entry point (the hook names a `core` type, so it cannot ride in
-/// the `threads`-level [`ExecEnv`]).
-pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
-    setup: &MgSetup,
-    b: &[f64],
-    opts: &AsyncOptions,
-    probe: &P,
-    env: ExecEnv<'_>,
-    hook: Option<&CheckpointHook<'_>>,
 ) -> AsyncResult {
     let n = setup.n();
     assert_eq!(b.len(), n);
@@ -604,7 +575,7 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
         .collect();
 
     // Likewise the production clock (a virtual one makes the watchdog's
-    // timeout paths deterministic).
+    // timeout deterministic).
     let os_clock = OsClock::new();
     let clock = env.clock.unwrap_or(&os_clock);
     let nb = vecops::norm2(b);
@@ -623,7 +594,6 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
         probe,
         clock,
         start_ns: clock.now_ns(),
-        hook,
         norm_b: if nb > 0.0 { nb } else { 1.0 },
         plan,
         defended: plan.is_some() || opts.recovery.any_enabled(),
@@ -635,14 +605,16 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
         tol_stopped: AtomicBool::new(false),
     };
 
-    let tol = match opts.criterion {
-        StopCriterion::Tolerance { relres } if !opts.sync => Some(relres),
+    let criterion_tol = match opts.criterion {
+        StopCriterion::Tolerance { relres } => Some(relres),
         _ => None,
     };
-    // Only the recovery defences and a session's checkpoint hook need an
-    // observer; a plain solve, tolerance-stopped or not, is its workers and
-    // nothing else.
-    let watched = !opts.sync && (opts.recovery.needs_watchdog() || hook.is_some());
+    // Asynchronous tolerance runs confirm (or resume) their teams' stop.
+    let tol = criterion_tol.filter(|_| !opts.sync);
+    // Only a wall-clock budget needs an observer; any other solve is its
+    // workers and nothing else. (A synchronous run's stop decision is read
+    // between global barriers, which a watchdog's store would tear.)
+    let max_wall = opts.recovery.max_wall.filter(|_| !opts.sync);
     let run_teams = || {
         run_teams_sched(&layout.sizes, sched, |ctx| {
             team_worker(&shared, &teams[ctx.team_id], &ctx);
@@ -651,10 +623,10 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
     let start = Instant::now();
     let mut x = vec![0.0; n];
     let (elapsed, relres) = loop {
-        if watched {
+        if let Some(max_wall) = max_wall {
             let done = AtomicBool::new(false);
             std::thread::scope(|s| {
-                s.spawn(|| watchdog_loop(&shared, &done));
+                s.spawn(|| watchdog_loop(&shared, max_wall, &done));
                 run_teams();
                 done.store(true, Ordering::Release);
             });
@@ -699,62 +671,24 @@ pub(crate) fn solve_async_impl<P: Probe + ?Sized>(
     let corrects_mean =
         grid_corrections.iter().sum::<usize>() as f64 / grid_corrections.len() as f64;
     let faults = shared.faults.into_inner().unwrap();
-    let stopped_on_tolerance = shared.tol_stopped.load(Ordering::Acquire);
-    let hit_tol = match opts.criterion {
-        StopCriterion::Tolerance { relres: t } => stopped_on_tolerance || relres < t,
-        _ => false,
-    };
-    // A tolerance solve whose residual grew 10⁶× is as faulted as one that
-    // went non-finite.
-    let outcome = if shared.timed_out.load(Ordering::Acquire)
-        || !relres.is_finite()
-        || (tol.is_some() && relres >= DIVERGED)
-    {
-        SolveOutcome::Faulted
-    } else if !faults.is_empty() {
-        SolveOutcome::Degraded
-    } else if hit_tol {
-        SolveOutcome::Converged
-    } else {
-        SolveOutcome::MaxIterations
-    };
     AsyncResult {
         x,
         relres,
         grid_corrections,
         corrects_mean,
         elapsed,
-        outcome,
+        outcome: SolveOutcome::classify(relres, criterion_tol, &faults),
         faults,
-        stopped_on_tolerance,
+        stopped_on_tolerance: shared.tol_stopped.load(Ordering::Acquire),
     }
 }
 
-/// The watchdog of a defended launch: every millisecond it enforces the
-/// wall-clock budget and quarantines stalled grids via the correction-counter
-/// heartbeats; only for divergence rollback or a due checkpoint does it
-/// compute the relative residual from the racy shared iterate (atomic reads,
-/// no locks — the workers never wait on it). It never decides a tolerance
-/// stop.
-fn watchdog_loop<P: Probe + ?Sized>(shared: &Shared<'_, P>, done: &AtomicBool) {
-    let a0 = shared.setup.a(0);
-    let n = shared.setup.n();
-    let rec = shared.opts.recovery;
-    // Rollback never composes with the residual-based flavour: rewriting
-    // `x` would break its incremental `r = b − A x` invariant.
-    let rollback = rec.rollback_factor.filter(|_| shared.opts.res_comp != ResComp::ResidualBased);
-    let n_levels = shared.counters.len();
-    let mut last_counts = vec![0usize; n_levels];
-    // All budget/stall/cadence arithmetic is in clock nanoseconds relative
-    // to the solve epoch: under an `OsClock` this is the pre-abstraction
-    // wall-clock behaviour, under a `VirtualClock` every timeout path is
-    // deterministic and sleep-free.
-    let mut last_change = vec![shared.now_ns(); n_levels];
-    let mut best = f64::INFINITY;
-    let mut good: Vec<f64> = Vec::new();
-    let mut ckpt_buf: Vec<f64> = Vec::new();
-    let mut last_ckpt_ns: Option<u64> = None;
-    let mut last_quarantined = 0usize;
+/// The watchdog of a launch with a wall-clock budget: every millisecond of
+/// clock time it checks `max_wall` and, once the budget is spent, logs the
+/// timeout and raises the stop flag. It reads no solver state and never
+/// decides a tolerance stop.
+fn watchdog_loop<P: Probe + ?Sized>(shared: &Shared<'_, P>, max_wall: Duration, done: &AtomicBool) {
+    let budget_ns = max_wall.as_nanos() as u64;
     loop {
         if done.load(Ordering::Acquire) {
             return;
@@ -763,96 +697,13 @@ fn watchdog_loop<P: Probe + ?Sized>(shared: &Shared<'_, P>, done: &AtomicBool) {
         if done.load(Ordering::Acquire) {
             return;
         }
-        let now_ns = shared.now_ns();
-        // Hard wall-clock budget: stop the solve and report Faulted. The
-        // workers check the (team-republished) stop flag once per round, so
-        // any live team leaves within one round of corrections.
-        if let Some(max_wall) = rec.max_wall {
-            if now_ns >= max_wall.as_nanos() as u64 {
-                shared.record_fault(FaultKind::Timeout);
-                shared.timed_out.store(true, Ordering::Release);
-                shared.stop.store(true, Ordering::Release);
-                return;
-            }
-        }
-        // Per-level stall detection: the correction counters are the
-        // heartbeats. A level that is neither finished nor advancing gets
-        // quarantined so the survivors stop waiting for its contribution.
-        if let Some(max_stall) = rec.max_stall {
-            let stall_ns = max_stall.as_nanos() as u64;
-            for k in 0..n_levels {
-                let c = shared.counters[k].load(Ordering::Acquire);
-                if c != last_counts[k] {
-                    last_counts[k] = c;
-                    last_change[k] = now_ns;
-                } else if c < shared.opts.t_max
-                    && !shared.quarantined[k].load(Ordering::Acquire)
-                    && !shared.dead[k].load(Ordering::Acquire)
-                    && now_ns.saturating_sub(last_change[k]) >= stall_ns
-                {
-                    shared.record_fault(FaultKind::Stalled { grid: k as u32 });
-                    shared.quarantine(k);
-                }
-            }
-        }
-        // Checkpoint cadence: a session hook asks for a snapshot every
-        // `cadence` — and immediately after a quarantine event, so the last
-        // healthy state before degradation is preserved.
-        let ckpt_due = shared.hook.is_some_and(|h| {
-            let quarantined =
-                shared.quarantined.iter().filter(|q| q.load(Ordering::Acquire)).count();
-            quarantined != last_quarantined
-                || last_ckpt_ns
-                    .is_none_or(|t| now_ns.saturating_sub(t) >= h.cadence.as_nanos() as u64)
-        });
-        if rollback.is_none() && !ckpt_due {
-            continue;
-        }
-        let mut sum = 0.0;
-        for i in 0..n {
-            let v = shared.b[i] - a0.row_dot_atomic(i, &shared.x);
-            sum += v * v;
-        }
-        let relres = sum.sqrt() / shared.norm_b;
-        shared.probe.residual_sample(shared.now_ns(), relres);
-        if let Some(hook) = shared.hook.filter(|_| ckpt_due) {
-            last_ckpt_ns = Some(now_ns);
-            last_quarantined =
-                shared.quarantined.iter().filter(|q| q.load(Ordering::Acquire)).count();
-            if relres.is_finite() {
-                let t0 = shared.now_ns();
-                ckpt_buf.resize(n, 0.0);
-                shared.x.snapshot(&mut ckpt_buf);
-                hook.store.offer(&ckpt_buf, relres, hook.attempt, t0);
-                if shared.probe.enabled() {
-                    let t1 = shared.now_ns();
-                    // The watchdog records on its own ring, one past the
-                    // last worker rank (probes sized for workers only drop
-                    // the event safely).
-                    shared.probe.phase(
-                        shared.opts.n_threads,
-                        0,
-                        Phase::Checkpoint,
-                        t0,
-                        t1.saturating_sub(t0),
-                    );
-                    shared.probe.checkpoint(t0, hook.attempt, relres, false);
-                }
-            }
-        }
-        if let Some(factor) = rollback {
-            if relres.is_finite() && relres <= best {
-                best = relres;
-                good.resize(n, 0.0);
-                shared.x.snapshot(&mut good);
-            } else if !good.is_empty() && (!relres.is_finite() || relres > factor * best) {
-                // Divergence (or poison): restore the last known-good
-                // iterate. Concurrent corrections keep landing on top of
-                // the restored values, which is exactly the additive
-                // model's tolerance for perturbed iterates.
-                shared.x.store_rows(0..n, &good);
-                shared.record_fault(FaultKind::Rollback);
-            }
+        // The workers check the (team-republished) stop flag once per
+        // round, so any live team leaves within one round of corrections.
+        if shared.now_ns() >= budget_ns {
+            shared.record_fault(FaultKind::Timeout);
+            shared.timed_out.store(true, Ordering::Release);
+            shared.stop.store(true, Ordering::Release);
+            return;
         }
     }
 }
@@ -917,9 +768,9 @@ fn team_worker<P: Probe + ?Sized>(shared: &Shared<'_, P>, team: &TeamData, ctx: 
             if capped && !opts.sync && count >= opts.t_max {
                 continue;
             }
-            // Quarantine check. The flag is set asynchronously (guard or
-            // watchdog), so the master publishes a team-coherent snapshot
-            // the same way the stop flag is republished.
+            // Quarantine check. The master publishes a team-coherent
+            // snapshot of the flag the same way the stop flag is
+            // republished.
             if shared.defended {
                 if ctx.is_team_master() {
                     team.skip_local.store(
@@ -2214,13 +2065,43 @@ mod tests {
         assert!(RecoveryOptions::defended().validate().is_ok());
         let r = RecoveryOptions { damping: 0.0, ..Default::default() };
         assert!(r.validate().is_err());
-        let r = RecoveryOptions { rollback_factor: Some(0.5), ..Default::default() };
-        assert!(r.validate().is_err());
         let mut o =
             AsyncOptions { criterion: StopCriterion::tolerance(f64::NAN), ..Default::default() };
         assert!(o.validate().is_err());
         o.criterion = StopCriterion::One;
         o.n_threads = 0;
         assert!(o.validate().is_err());
+    }
+
+    #[test]
+    fn classify_is_the_one_outcome_rule() {
+        use SolveOutcome::*;
+        let at = |kind| FaultRecord { t_ns: 0, kind };
+        let timeout = [at(FaultKind::Timeout)];
+        let guard = [at(FaultKind::GuardTripped { grid: 1 })];
+        let cases: [(f64, Option<f64>, &[FaultRecord], SolveOutcome); 14] = [
+            // Non-finite residuals fault, with or without a tolerance.
+            (f64::NAN, Some(1e-6), &[], Faulted),
+            (f64::NAN, None, &[], Faulted),
+            (f64::INFINITY, Some(1e-6), &[], Faulted),
+            (f64::INFINITY, None, &guard, Faulted),
+            // Divergence faults a tolerance run only.
+            (DIVERGED, Some(1e-6), &[], Faulted),
+            (2.0 * DIVERGED, Some(1e-6), &guard, Faulted),
+            (DIVERGED, None, &[], MaxIterations),
+            // A timeout faults even below tolerance.
+            (1e-9, Some(1e-6), &timeout, Faulted),
+            (0.5, None, &timeout, Faulted),
+            // Any other fault degrades, converged or not.
+            (1e-9, Some(1e-6), &guard, Degraded),
+            (0.5, None, &guard, Degraded),
+            // Fault-free: strictly below tolerance converges.
+            (1e-9, Some(1e-6), &[], Converged),
+            (1e-6, Some(1e-6), &[], MaxIterations),
+            (1e-9, None, &[], MaxIterations),
+        ];
+        for (relres, tol, faults, want) in cases {
+            assert_eq!(SolveOutcome::classify(relres, tol, faults), want, "{relres} {tol:?}");
+        }
     }
 }

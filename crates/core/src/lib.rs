@@ -83,9 +83,8 @@ pub use models::{simulate, simulate_mean, ModelKind, ModelOptions, ModelResult};
 pub use mult::{coarse_correction, mult_vcycle, solve_mult_probed};
 pub use parallel_mult::solve_mult_threaded;
 pub use resilience::{
-    AttemptReport, Checkpoint, CheckpointStats, CheckpointStore, EscalationReason, RetryPolicy,
-    Rung, SessionError, SessionGoal, SessionReport, ShardAttempt, ShardAttemptOutcome,
-    ShardRungDriver,
+    AttemptReport, CheckpointStats, EscalationReason, RetryPolicy, Rung, SessionError, SessionGoal,
+    SessionReport, ShardAttempt, ShardAttemptOutcome, ShardRungDriver,
 };
 pub use setup::{CoarseSolve, MgOptions, MgSetup};
 pub use solver::{Method, SolveError, SolveReport, Solver, SolverConfig};

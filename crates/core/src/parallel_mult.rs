@@ -232,23 +232,15 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
     // The cycle is fully barriered, so the stop flag is only ever raised by
     // the master's exact residual check — it doubles as the "tolerance
     // actually observed" signal.
-    let stopped_on_tolerance = stop.load(Ordering::Acquire);
-    let outcome = if !relres.is_finite() {
-        SolveOutcome::Faulted
-    } else if tol.is_some_and(|t| stopped_on_tolerance || relres < t) {
-        SolveOutcome::Converged
-    } else {
-        SolveOutcome::MaxIterations
-    };
     AsyncResult {
         x: xv,
         relres,
         grid_corrections: vec![cycles; setup.n_levels()],
         corrects_mean: cycles as f64,
         elapsed,
-        outcome,
+        outcome: SolveOutcome::classify(relres, tol, &[]),
         faults: Vec::new(),
-        stopped_on_tolerance,
+        stopped_on_tolerance: stop.load(Ordering::Acquire),
     }
 }
 

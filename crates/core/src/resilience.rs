@@ -2,17 +2,16 @@
 //! an automatic degradation ladder.
 //!
 //! The asynchronous runtime of this crate can already *survive* faults —
-//! guards, quarantine, the watchdog ([`asynchronous`](crate::asynchronous))
-//! — but a survived fault usually costs convergence: the solve ends
-//! [`Degraded`](SolveOutcome::Degraded) or [`Faulted`](SolveOutcome::Faulted)
-//! above tolerance. This module adds the session layer that turns those
-//! structured failures into eventual success:
+//! guards, quarantine, the wall-clock watchdog
+//! ([`asynchronous`](crate::asynchronous)) — but a survived fault usually
+//! costs convergence: the solve ends [`Degraded`](SolveOutcome::Degraded) or
+//! [`Faulted`](SolveOutcome::Faulted) above tolerance. This module adds the
+//! session layer that turns those structured failures into eventual
+//! success:
 //!
-//! * [`CheckpointStore`] — best-known-iterate snapshots, fed by the
-//!   watchdog at a configurable cadence (and at quarantine events) through
-//!   a crate-private checkpoint hook, and by the session at every attempt
-//!   end. Retries warm-start from the best
-//!   checkpoint instead of from zero (rollback-to-best-known).
+//! * Checkpoints — the session snapshots its iterate at every attempt end
+//!   and keeps the best; retries warm-start from it instead of from zero
+//!   (rollback-to-best-known).
 //! * [`RetryPolicy`] — bounded attempts, exponential backoff between them,
 //!   and an overall deadline whose remainder is split evenly across the
 //!   attempts still available (each asynchronous attempt gets the slice as
@@ -36,8 +35,7 @@
 
 use crate::additive::AdditiveMethod;
 use crate::asynchronous::{
-    solve_async_impl, AsyncOptions, CheckpointHook, RecoveryOptions, SolveOutcome, StopCriterion,
-    WriteMode,
+    solve_async, AsyncOptions, RecoveryOptions, SolveOutcome, StopCriterion, WriteMode,
 };
 use crate::krylov::{pcg_probed, VCyclePrec};
 use crate::mult::solve_mult_probed;
@@ -45,81 +43,64 @@ use crate::setup::MgSetup;
 use crate::solver::{SolveError, Solver};
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::{
-    AttemptRecord, FaultKind, FaultRecord, NoopProbe, Probe, ResidualSample, SolveTrace,
+    AttemptRecord, FaultKind, FaultRecord, NoopProbe, Phase, Probe, ResidualSample, SolveTrace,
     TelemetryProbe,
 };
 use asyncmg_threads::{ExecEnv, OsClock, Sched, VirtualSched};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// One snapshot of the solve state: the iterate, its exact relative
-/// residual, and where in the session it was taken.
+/// One snapshot of the session iterate, its exact relative residual and
+/// the attempt that produced it.
 #[derive(Clone, Debug)]
-pub struct Checkpoint {
-    /// The snapshotted iterate.
-    pub x: Vec<f64>,
-    /// Exact (or monitor-observed) relative residual of `x`.
-    pub relres: f64,
-    /// The session attempt that produced it.
-    pub attempt: u32,
-    /// Session-clock nanoseconds at which it was taken.
-    pub t_ns: u64,
+struct Checkpoint {
+    x: Vec<f64>,
+    relres: f64,
+    attempt: u32,
 }
 
 /// Keeps the best checkpoint seen so far (lowest finite relative residual),
-/// plus taken/restored counters.
-///
-/// Shared between the session loop and the watchdog's checkpoint hook, so
-/// offers are thread-safe; the best-so-far policy means rollback always goes to the
-/// best known state, never to an older or worse one.
+/// plus taken/restored counters. Owned by the session loop, its only user;
+/// the best-so-far policy means a warm start always goes to the best known
+/// state, never to an older or worse one.
 #[derive(Debug, Default)]
-pub struct CheckpointStore {
-    best: Mutex<Option<Checkpoint>>,
-    taken: AtomicUsize,
-    restored: AtomicUsize,
+struct CheckpointStore {
+    best: Option<Checkpoint>,
+    taken: usize,
+    restored: usize,
 }
 
 impl CheckpointStore {
-    /// An empty store.
-    pub fn new() -> Self {
+    fn new() -> Self {
         CheckpointStore::default()
     }
 
     /// Offers a snapshot; it becomes the best checkpoint iff its residual
     /// is finite and strictly better than the current best. Returns whether
     /// it was kept.
-    pub fn offer(&self, x: &[f64], relres: f64, attempt: u32, t_ns: u64) -> bool {
-        self.taken.fetch_add(1, Ordering::Relaxed);
-        if !relres.is_finite() {
-            return false;
-        }
-        let mut best = self.best.lock().unwrap();
-        let better = best.as_ref().is_none_or(|c| relres < c.relres);
+    fn offer(&mut self, x: &[f64], relres: f64, attempt: u32) -> bool {
+        self.taken += 1;
+        let better = relres.is_finite() && self.best.as_ref().is_none_or(|c| relres < c.relres);
         if better {
-            *best = Some(Checkpoint { x: x.to_vec(), relres, attempt, t_ns });
+            self.best = Some(Checkpoint { x: x.to_vec(), relres, attempt });
         }
         better
     }
 
-    /// The best checkpoint so far, if any.
-    pub fn best(&self) -> Option<Checkpoint> {
-        self.best.lock().unwrap().clone()
+    fn best(&self) -> Option<Checkpoint> {
+        self.best.clone()
     }
 
     /// Records that a retry warm-started from the best checkpoint.
-    fn mark_restored(&self) {
-        self.restored.fetch_add(1, Ordering::Relaxed);
+    fn mark_restored(&mut self) {
+        self.restored += 1;
     }
 
-    /// Counter snapshot for reports.
-    pub fn stats(&self) -> CheckpointStats {
-        let best = self.best.lock().unwrap();
+    fn stats(&self) -> CheckpointStats {
         CheckpointStats {
-            taken: self.taken.load(Ordering::Relaxed),
-            restored: self.restored.load(Ordering::Relaxed),
-            best_relres: best.as_ref().map(|c| c.relres),
-            best_attempt: best.as_ref().map(|c| c.attempt),
+            taken: self.taken,
+            restored: self.restored,
+            best_relres: self.best.as_ref().map(|c| c.relres),
+            best_attempt: self.best.as_ref().map(|c| c.attempt),
         }
     }
 }
@@ -127,8 +108,7 @@ impl CheckpointStore {
 /// Checkpoint activity of one session.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CheckpointStats {
-    /// Snapshots offered to the store (watchdog cadence + quarantine +
-    /// attempt ends).
+    /// Snapshots taken: one per attempt end.
     pub taken: usize,
     /// Retries that warm-started from the best checkpoint.
     pub restored: usize,
@@ -183,7 +163,7 @@ impl Rung {
     }
 
     /// Whether this rung runs the asynchronous threaded backend (the only
-    /// rungs fault plans and checkpoint hooks apply to).
+    /// rungs fault plans apply to).
     fn is_async(self) -> bool {
         matches!(self, Rung::AsyncAtomic | Rung::AsyncLock)
     }
@@ -199,7 +179,7 @@ impl Rung {
 /// sharpen the answer.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SessionGoal {
-    /// Reach a relative residual at or below this tolerance.
+    /// Reach a relative residual below this tolerance.
     Tolerance(f64),
     /// No tolerance: succeed on the first attempt that runs its budget to
     /// completion without faulting and leaves a finite residual.
@@ -211,7 +191,7 @@ impl SessionGoal {
     /// structured outcome `outcome` satisfies this goal.
     fn met(self, relres: f64, outcome: SolveOutcome) -> bool {
         match self {
-            SessionGoal::Tolerance(tol) => relres.is_finite() && relres <= tol,
+            SessionGoal::Tolerance(tol) => relres < tol,
             SessionGoal::Budget => {
                 relres.is_finite()
                     && matches!(outcome, SolveOutcome::Converged | SolveOutcome::MaxIterations)
@@ -489,7 +469,6 @@ fn run_rung(
     attempt_tol: f64,
     seed: Option<u64>,
     slice: Option<Duration>,
-    hook: Option<&CheckpointHook<'_>>,
     fault_failures: u32,
     probe: &dyn Probe,
 ) -> RungRun {
@@ -529,12 +508,10 @@ fn run_rung(
                     (recovery.damping * 0.5f64.powi(fault_failures as i32 - 1)).max(0.25);
             }
             if deterministic {
-                // Wall-clock heuristics fire nondeterministically under the
+                // A wall-clock budget fires nondeterministically under the
                 // serialised virtual scheduler; seeded sessions rely on the
                 // exact session-level residual check instead.
                 recovery.max_wall = None;
-                recovery.max_stall = None;
-                recovery.rollback_factor = None;
             } else if let Some(slice) = slice {
                 recovery.max_wall = Some(recovery.max_wall.map_or(slice, |w| w.min(slice)));
             }
@@ -572,8 +549,7 @@ fn run_rung(
                 plan: solver.env.plan.filter(|_| rung.is_async()),
                 clock: None,
             };
-            let hook = hook.filter(|_| rung.is_async() && !deterministic);
-            let res = solve_async_impl(setup, r0, &opts, probe, env, hook);
+            let res = solve_async(setup, r0, &opts, probe, env);
             RungRun {
                 dx: res.x,
                 outcome: res.outcome,
@@ -585,18 +561,10 @@ fn run_rung(
         Rung::SyncMult => {
             let start = std::time::Instant::now();
             let res = solve_mult_probed(setup, r0, solver.t_max, Some(attempt_tol), probe);
-            let relres = res.final_relres();
-            let outcome = if !relres.is_finite() {
-                SolveOutcome::Faulted
-            } else if relres < attempt_tol {
-                SolveOutcome::Converged
-            } else {
-                SolveOutcome::MaxIterations
-            };
             RungRun {
+                outcome: SolveOutcome::classify(res.final_relres(), Some(attempt_tol), &[]),
                 corrections: res.history.len() as f64,
                 dx: res.x,
-                outcome,
                 elapsed: start.elapsed(),
                 faults: Vec::new(),
             }
@@ -606,17 +574,12 @@ fn run_rung(
             let mut prec = VCyclePrec::new(setup);
             let iters = solver.t_max.max(100);
             let res = pcg_probed(setup.a(0), r0, attempt_tol, iters, &mut prec, probe);
-            let outcome = if res.x.iter().any(|v| !v.is_finite()) {
-                SolveOutcome::Faulted
-            } else if res.converged {
-                SolveOutcome::Converged
-            } else {
-                SolveOutcome::MaxIterations
-            };
+            // The recurrence residual of the last iteration (1 before any).
+            let relres = res.history.last().copied().unwrap_or(1.0);
             RungRun {
+                outcome: SolveOutcome::classify(relres, Some(attempt_tol), &[]),
                 corrections: res.history.len() as f64,
                 dx: res.x,
-                outcome,
                 elapsed: start.elapsed(),
                 faults: Vec::new(),
             }
@@ -653,7 +616,7 @@ pub(crate) fn run_session_goal(
     let t0 = clock.now_ns();
     let now = || clock.now_ns().saturating_sub(t0);
     let norm_b = vecops::norm2(b).max(1e-300);
-    let store = CheckpointStore::new();
+    let mut store = CheckpointStore::new();
 
     let mut trace = solver.collect_trace.then(SolveTrace::default);
     let mut attempts: Vec<AttemptReport> = Vec::new();
@@ -706,7 +669,7 @@ pub(crate) fn run_session_goal(
             r0.copy_from_slice(b);
         }
         let norm_r0 = vecops::norm2(&r0).max(1e-300);
-        if matches!(goal, SessionGoal::Tolerance(_)) && norm_r0 / norm_b <= tol {
+        if matches!(goal, SessionGoal::Tolerance(_)) && norm_r0 / norm_b < tol {
             // The restored checkpoint already meets the tolerance.
             x = x0;
             relres = norm_r0 / norm_b;
@@ -726,15 +689,14 @@ pub(crate) fn run_session_goal(
             break;
         }
         // The shifted tolerance that makes the unshifted iterate meet the
-        // session target: ‖r0 − A·dx‖/‖b‖ ≤ tol ⇔ shifted relres ≤ this.
+        // session target: ‖r0 − A·dx‖/‖b‖ < tol ⇔ shifted relres < this.
         let attempt_tol = tol * norm_b / norm_r0;
 
         let mut tp = solver
             .collect_trace
-            // One ring per worker plus the watchdog's own (index
+            // One ring per worker plus the session's own (index
             // `n_threads`) for its checkpoint phases.
             .then(|| TelemetryProbe::with_threads(solver.threads.max(1) + 1));
-        let hook = CheckpointHook { store: &store, cadence: solver.checkpoint_every, attempt };
         let run = {
             let probe: &dyn Probe = match (&tp, solver.probe) {
                 (Some(p), _) => p,
@@ -744,19 +706,10 @@ pub(crate) fn run_session_goal(
             if warm_start && probe.enabled() {
                 probe.checkpoint(0, attempt, restored_relres, true);
             }
-            let run = run_rung(
-                solver,
-                rung,
-                &r0,
-                attempt_tol,
-                seed,
-                slice,
-                Some(&hook),
-                fault_failures,
-                probe,
-            );
-            // End-of-attempt checkpoint: deterministic (unlike the
-            // watchdog-cadence ones), so seeded sessions snapshot too.
+            let run = run_rung(solver, rung, &r0, attempt_tol, seed, slice, fault_failures, probe);
+            // End-of-attempt checkpoint, the session's only one (seeded
+            // sessions take it too).
+            let ckpt_start = Instant::now();
             let mut xa = x0;
             for i in 0..n {
                 xa[i] += run.dx[i];
@@ -769,9 +722,14 @@ pub(crate) fn run_session_goal(
                 sum += v * v;
             }
             let rel = sum.sqrt() / norm_b;
-            store.offer(&xa, rel, attempt, now());
+            store.offer(&xa, rel, attempt);
             if probe.enabled() {
-                probe.checkpoint(run.elapsed.as_nanos() as u64, attempt, rel, false);
+                let t_ns = run.elapsed.as_nanos() as u64;
+                // Recorded on the ring one past the last worker's (probes
+                // sized for workers only drop the event safely).
+                let dur = ckpt_start.elapsed().as_nanos() as u64;
+                probe.phase(solver.threads.max(1), 0, Phase::Checkpoint, t_ns, dur);
+                probe.checkpoint(t_ns, attempt, rel, false);
             }
             (run, xa, rel)
         };
@@ -895,12 +853,12 @@ mod tests {
 
     #[test]
     fn checkpoint_store_keeps_the_best() {
-        let store = CheckpointStore::new();
+        let mut store = CheckpointStore::new();
         assert!(store.best().is_none());
-        assert!(store.offer(&[1.0], 0.5, 0, 10));
-        assert!(!store.offer(&[2.0], 0.9, 0, 20)); // worse: rejected
-        assert!(!store.offer(&[3.0], f64::NAN, 1, 30)); // non-finite: rejected
-        assert!(store.offer(&[4.0], 0.1, 1, 40));
+        assert!(store.offer(&[1.0], 0.5, 0));
+        assert!(!store.offer(&[2.0], 0.9, 0)); // worse: rejected
+        assert!(!store.offer(&[3.0], f64::NAN, 1)); // non-finite: rejected
+        assert!(store.offer(&[4.0], 0.1, 1));
         let best = store.best().unwrap();
         assert_eq!(best.x, vec![4.0]);
         assert_eq!(best.attempt, 1);

@@ -91,7 +91,8 @@ pub struct SolveReport {
     pub x: Vec<f64>,
     /// Final relative residual 2-norm (recomputed exactly after the run).
     pub relres: f64,
-    /// Whether the tolerance (if one was set) was reached.
+    /// Whether the tolerance (if one was set) was reached: `relres` is
+    /// below it.
     pub converged: bool,
     /// Corrections (or cycles) performed by each grid.
     pub grid_corrections: Vec<usize>,
@@ -184,7 +185,6 @@ pub struct Solver<'a> {
     pub(crate) probe: Option<&'a dyn Probe>,
     pub(crate) collect_trace: bool,
     pub(crate) retry: RetryPolicy,
-    pub(crate) checkpoint_every: Duration,
     pub(crate) session_seed: Option<u64>,
     pub(crate) ladder: &'a [Rung],
     pub(crate) shard_driver: Option<&'a dyn ShardRungDriver>,
@@ -209,7 +209,6 @@ impl<'a> Solver<'a> {
             probe: None,
             collect_trace: false,
             retry: RetryPolicy::default(),
-            checkpoint_every: Duration::from_millis(5),
             session_seed: None,
             ladder: &Rung::LADDER,
             shard_driver: None,
@@ -303,17 +302,8 @@ impl<'a> Solver<'a> {
         self
     }
 
-    /// Quarantine any grid whose correction counter does not advance within
-    /// `window` (asynchronous backend). Shorthand for setting
-    /// [`RecoveryOptions::max_stall`].
-    pub fn max_stall(mut self, window: Duration) -> Self {
-        self.recovery.max_stall = Some(window);
-        self
-    }
-
     /// Full detection-and-recovery configuration for the asynchronous
-    /// backend. Replaces anything set through [`Solver::timeout`] or
-    /// [`Solver::max_stall`].
+    /// backend. Replaces anything set through [`Solver::timeout`].
     pub fn recovery(mut self, recovery: RecoveryOptions) -> Self {
         self.recovery = recovery;
         self
@@ -359,14 +349,6 @@ impl<'a> Solver<'a> {
     /// attempt cap, backoff, and overall deadline.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Cadence of the watchdog's checkpoint snapshots during resilient
-    /// sessions (asynchronous rungs only; attempt-end checkpoints are
-    /// always taken).
-    pub fn checkpoint_every(mut self, cadence: Duration) -> Self {
-        self.checkpoint_every = cadence;
         self
     }
 
@@ -571,33 +553,25 @@ fn sequential_report(
 ) -> SolveReport {
     let cycles = res.history.len();
     let relres = res.final_relres();
-    let hit_tol = tolerance.is_some_and(|t| relres < t);
-    let outcome = if !relres.is_finite() {
-        SolveOutcome::Faulted
-    } else if hit_tol {
-        SolveOutcome::Converged
-    } else {
-        SolveOutcome::MaxIterations
-    };
     SolveReport {
         x: res.x,
         relres,
-        converged: tolerance.is_none() || hit_tol,
+        converged: tolerance.is_none_or(|t| relres < t),
         grid_corrections: vec![cycles; n_grids],
         corrects_mean: cycles as f64,
         history: res.history,
         elapsed,
-        outcome,
+        outcome: SolveOutcome::classify(relres, tolerance, &[]),
         faults: Vec::new(),
         trace: None,
     }
 }
 
-/// Report for the threaded backends: `converged` is the backend's
-/// `stopped_on_tolerance`, or an exact final residual below the target.
+/// Report for the threaded backends, whose outcome the backend already
+/// classified: `converged` is an exact final residual below the target.
 fn threaded_report(res: AsyncResult, tolerance: Option<f64>) -> SolveReport {
     SolveReport {
-        converged: tolerance.is_none_or(|t| res.stopped_on_tolerance || res.relres < t),
+        converged: tolerance.is_none_or(|t| res.relres < t),
         x: res.x,
         relres: res.relres,
         grid_corrections: res.grid_corrections,

@@ -7,7 +7,7 @@
 //! event streams, phase occurrence counts — is a pure function of the
 //! schedule and is folded into a 64-bit FNV-1a digest.
 
-use asyncmg_core::{AsyncResult, SolveOutcome};
+use asyncmg_core::AsyncResult;
 use asyncmg_telemetry::{FaultKind, SolveTrace};
 
 /// The FNV-1a digest engine, re-exported from `asyncmg-sparse` where it now
@@ -55,12 +55,7 @@ pub fn fingerprint_run(result: &AsyncResult, trace: &SolveTrace) -> u64 {
     // Outcome and fault log: kinds and their sites are schedule-determined
     // (fault decisions are pure functions of plan seed and site); the
     // records' wall-clock timestamps are not, so only the kinds are hashed.
-    h.write_u64(match result.outcome {
-        SolveOutcome::Converged => 0,
-        SolveOutcome::MaxIterations => 1,
-        SolveOutcome::Degraded => 2,
-        SolveOutcome::Faulted => 3,
-    });
+    h.write_u64(result.outcome as u64);
     h.write_u64(result.faults.len() as u64);
     for f in &result.faults {
         h.write_bytes(f.kind.name().as_bytes());

@@ -96,14 +96,14 @@ pub fn fingerprint_session(report: &SessionReport) -> u64 {
     }
     h.write_f64(report.relres);
     h.write_u64(report.converged as u64);
-    h.write_u64(outcome_ordinal(report.outcome));
+    h.write_u64(report.outcome as u64);
     h.write_u64(report.deadline_exhausted as u64);
     h.write_u64(report.attempts.len() as u64);
     for a in &report.attempts {
         h.write_u64(a.index as u64);
         h.write_bytes(a.rung.name().as_bytes());
         h.write_f64(a.relres);
-        h.write_u64(outcome_ordinal(a.outcome));
+        h.write_u64(a.outcome as u64);
         h.write_f64(a.corrections);
         h.write_u64(a.warm_start as u64);
         h.write_bytes(a.escalation.map_or("", |e| e.name()).as_bytes());
@@ -117,15 +117,6 @@ pub fn fingerprint_session(report: &SessionReport) -> u64 {
     h.write_u64(report.checkpoints.taken as u64);
     h.write_u64(report.checkpoints.restored as u64);
     h.finish()
-}
-
-fn outcome_ordinal(outcome: SolveOutcome) -> u64 {
-    match outcome {
-        SolveOutcome::Converged => 0,
-        SolveOutcome::MaxIterations => 1,
-        SolveOutcome::Degraded => 2,
-        SolveOutcome::Faulted => 3,
-    }
 }
 
 /// The session oracle: what must hold for *every* fault plan and seed.

@@ -300,12 +300,7 @@ pub fn fingerprint_sharded(result: &ShardResult) -> u64 {
     h.write_u64(rec.acks);
     h.write_u64(rec.checkpoints);
     h.write_u64(rec.evictions);
-    h.write_u64(match result.outcome {
-        SolveOutcome::Converged => 0,
-        SolveOutcome::MaxIterations => 1,
-        SolveOutcome::Degraded => 2,
-        SolveOutcome::Faulted => 3,
-    });
+    h.write_u64(result.outcome as u64);
     h.write_u64(result.faults.len() as u64);
     for f in &result.faults {
         h.write_bytes(f.kind.name().as_bytes());
@@ -324,9 +319,10 @@ pub fn fingerprint_sharded(result: &ShardResult) -> u64 {
 ///    count: exactly `n_shards` contributions undefended, between
 ///    `n_shards - deaths` and `n_shards` once the detector retires parts;
 /// 4. per-shard epoch counts within the budget;
-/// 5. fault/outcome consistency: a finite run is `Degraded` exactly when
-///    its fault log is non-empty, and the deterministic fault axes
-///    (straggler/crash/corrupt) must actually have injected;
+/// 5. fault/outcome consistency: `Converged` only below the axis
+///    tolerance, a finite run is `Degraded` exactly when its fault log is
+///    non-empty, and the deterministic fault axes (straggler/crash/corrupt)
+///    must actually have injected;
 /// 6. recovery/report consistency: [`RecoveryAxis::Off`] must leave an
 ///    all-zero report (undefended purity), the recovery axes must declare
 ///    the crashed shard dead and evict it, adoption happens exactly on
@@ -389,6 +385,12 @@ pub fn check_sharded(axis: &ShardAxis, run: &ShardRun) -> Result<(), Violation> 
         if e > axis.t_max as u64 {
             return Err(fail(format!("shard {s} ran {e} epochs over budget {}", axis.t_max)));
         }
+    }
+    if r.outcome == SolveOutcome::Converged && !axis.tolerance.is_some_and(|t| r.relres < t) {
+        return Err(fail(format!(
+            "outcome Converged at relres {} against tolerance {:?}",
+            r.relres, axis.tolerance
+        )));
     }
     let degraded_expected = !r.faults.is_empty();
     if degraded_expected != (r.outcome == SolveOutcome::Degraded) {

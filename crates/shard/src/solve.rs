@@ -111,7 +111,9 @@ pub struct ShardResult {
     /// Whether the hub's reduction observed the tolerance met and broadcast
     /// `Stop` (release/acquire: schedule-independent).
     pub stopped_on_tolerance: bool,
-    /// Structured outcome (faults degrade, non-finite results fault).
+    /// Structured outcome: [`SolveOutcome::classify`] of `relres`, the
+    /// tolerance and the fault log, so `Converged` implies `relres < tol`
+    /// whatever `stopped_on_tolerance` says.
     pub outcome: SolveOutcome,
     /// Injected faults and guard trips, in occurrence order.
     pub faults: Vec<FaultRecord>,
@@ -272,24 +274,12 @@ pub fn solve_sharded<P: Probe + ?Sized>(
     setup.a(0).residual(b, &x, &mut r);
     let norm = vecops::norm2(&r);
     let relres = if norm_b > 0.0 { norm / norm_b } else { norm };
-    let stopped_on_tolerance = stop_flag.load(Ordering::Acquire);
     let faults = faults.into_inner().unwrap();
-    let finite = relres.is_finite() && x.iter().all(|v| v.is_finite());
-    let hit_tol = stopped_on_tolerance || opts.tolerance.is_some_and(|t| relres < t);
-    let outcome = if !finite {
-        SolveOutcome::Faulted
-    } else if !faults.is_empty() {
-        SolveOutcome::Degraded
-    } else if hit_tol {
-        SolveOutcome::Converged
-    } else {
-        SolveOutcome::MaxIterations
-    };
     ShardResult {
         x,
         relres,
-        stopped_on_tolerance,
-        outcome,
+        stopped_on_tolerance: stop_flag.load(Ordering::Acquire),
+        outcome: SolveOutcome::classify(relres, opts.tolerance, &faults),
         faults,
         shard_epochs: shard_epochs.iter().map(|e| e.load(Ordering::Acquire)).collect(),
         hub_cycles: hub_cycles.load(Ordering::Acquire),

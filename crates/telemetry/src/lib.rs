@@ -58,12 +58,6 @@ pub enum FaultKind {
     /// Recovery: `grid` was quarantined — its corrections are no longer
     /// applied to the shared iterate.
     Quarantined { grid: u32 },
-    /// Recovery: the watchdog saw no heartbeat from `grid` within the
-    /// configured stall window.
-    Stalled { grid: u32 },
-    /// Recovery: divergence detected; the iterate was rolled back to the
-    /// last known-good snapshot.
-    Rollback,
     /// Recovery: the hard wall-clock timeout fired and stopped the solve.
     Timeout,
     /// Recovery: the sharded hub's failure detector declared shard `shard`
@@ -86,8 +80,6 @@ impl FaultKind {
             FaultKind::GuardTripped { .. } => "guard_tripped",
             FaultKind::Damped { .. } => "damped",
             FaultKind::Quarantined { .. } => "quarantined",
-            FaultKind::Stalled { .. } => "stalled",
-            FaultKind::Rollback => "rollback",
             FaultKind::Timeout => "timeout",
             FaultKind::ShardDeclaredDead { .. } => "shard_declared_dead",
             FaultKind::RowsAdopted { .. } => "rows_adopted",
@@ -101,8 +93,7 @@ impl FaultKind {
             | FaultKind::WriteDropped { grid }
             | FaultKind::GuardTripped { grid }
             | FaultKind::Damped { grid }
-            | FaultKind::Quarantined { grid }
-            | FaultKind::Stalled { grid } => Some(grid),
+            | FaultKind::Quarantined { grid } => Some(grid),
             _ => None,
         }
     }
@@ -141,8 +132,7 @@ pub enum Phase {
     SetupInterp,
     /// Setup: the Galerkin product `Pᵀ A P` and restriction transpose.
     SetupRap,
-    /// Resilience: a checkpoint snapshot of the shared iterate (watchdog
-    /// cadence or quarantine-triggered).
+    /// Resilience: the session's attempt-end checkpoint snapshot.
     Checkpoint,
 }
 
@@ -245,8 +235,8 @@ pub trait Probe: Sync {
 
     /// A resilience checkpoint was taken (`restored == false`) or the
     /// iterate was restored from one (`restored == true`). Cold path, like
-    /// [`Probe::fault`]: checkpoints happen at watchdog cadence, not in the
-    /// correction hot loop.
+    /// [`Probe::fault`]: checkpoints happen once per session attempt, not
+    /// in the correction hot loop.
     #[inline(always)]
     fn checkpoint(&self, _t_ns: u64, _attempt: u32, _relres: f64, _restored: bool) {}
 }

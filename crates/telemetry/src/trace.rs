@@ -436,13 +436,10 @@ fn fault_detail(kind: crate::FaultKind) -> String {
         | WriteDropped { grid }
         | GuardTripped { grid }
         | Damped { grid }
-        | Quarantined { grid }
-        | Stalled { grid } => {
-            format!(", \"grid\": {grid}")
-        }
+        | Quarantined { grid } => format!(", \"grid\": {grid}"),
         ShardDeclaredDead { shard } => format!(", \"shard\": {shard}"),
         RowsAdopted { from, to } => format!(", \"from\": {from}, \"to\": {to}"),
-        Rollback | Timeout => String::new(),
+        Timeout => String::new(),
     }
 }
 

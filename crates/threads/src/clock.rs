@@ -1,8 +1,8 @@
 //! Clock abstraction for every time-based solver decision.
 //!
-//! The watchdog's wall-clock budget (`max_wall`), stall windows
-//! (`max_stall`) and the resilience session's backoff/deadline arithmetic
-//! all need *a* notion of elapsed time — but reading `Instant::now()`
+//! The asynchronous watchdog's wall-clock budget (`max_wall`), the sharded
+//! failure detector's silence deadlines and the resilience session's
+//! backoff/deadline arithmetic all need *a* notion of elapsed time — but reading `Instant::now()`
 //! directly makes those paths untestable under the deterministic
 //! [`VirtualSched`](crate::VirtualSched): a test would have to really sleep
 //! out a 50 ms budget, and the moment the timeout fires would still be racy.

@@ -33,7 +33,7 @@
 //!   team crashes, corrupted/dropped writes) whose decisions are pure
 //!   functions of the injection site, composable with either scheduler,
 //! * [`Clock`] / [`OsClock`] / [`VirtualClock`] — the time abstraction:
-//!   watchdog budgets, stall windows and session backoff/deadlines read
+//!   watchdog budgets, detector deadlines and session backoff/deadlines read
 //!   time through a [`Clock`], so timeout paths are testable (and the
 //!   resilience session replayable) without sleeping wall-clock time.
 

@@ -209,8 +209,8 @@ pub struct ExecEnv<'a> {
     /// [`VirtualSched`] makes the interleaving (hence the floating-point
     /// result and the telemetry event content) a function of its seed.
     pub sched: Option<&'a dyn Sched>,
-    /// Clock behind every time-based decision (watchdog budgets and stall
-    /// windows, detector silence deadlines, retransmit backoff, probe
+    /// Clock behind every time-based decision (the watchdog's `max_wall`
+    /// budget, detector silence deadlines, retransmit backoff, probe
     /// timestamps). A [`VirtualClock`](crate::VirtualClock) makes timeout
     /// paths deterministic and sleep-free.
     pub clock: Option<&'a dyn Clock>,

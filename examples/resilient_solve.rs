@@ -48,10 +48,10 @@ fn main() {
         plain.faults.len()
     );
 
-    // 4. The same configuration as a resilient session: checkpoints are
-    //    snapshotted by the watchdog, failed attempts retry with
-    //    exponential backoff from the best checkpoint, and each retry
-    //    escalates one ladder rung with hardened recovery options.
+    // 4. The same configuration as a resilient session: every attempt ends
+    //    with a checkpoint, failed attempts retry with exponential backoff
+    //    from the best one, and each retry escalates one ladder rung with
+    //    hardened recovery options.
     let report = Solver::new(&setup)
         .method(Method::Multadd)
         .threads(4)
@@ -63,7 +63,6 @@ fn main() {
             backoff: Duration::from_millis(2),
             deadline: Some(Duration::from_secs(30)),
         })
-        .checkpoint_every(Duration::from_millis(2))
         .with_trace()
         .resilient(&b);
 
@@ -91,9 +90,10 @@ fn main() {
     );
     if let Some(trace) = &report.trace {
         println!(
-            "trace          : {} attempt records, {} checkpoint events (asyncmg-trace-v2)",
+            "trace          : {} attempt records, {} checkpoint events ({})",
             trace.attempts.len(),
-            trace.checkpoints.len()
+            trace.checkpoints.len(),
+            asyncmg_telemetry::SolveTrace::SCHEMA
         );
     }
 }

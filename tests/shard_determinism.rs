@@ -9,6 +9,8 @@
 //! * Converged sharded solutions agree with the shared-memory
 //!   `solve_mult_probed` reference (and with the async solver across all
 //!   write × res-comp flavours) to schedule-independent bounds.
+//! * Every solver family reports `Converged` exactly when its final
+//!   residual is below the tolerance (`SolveOutcome::classify`).
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
@@ -163,6 +165,44 @@ fn sharded_agrees_with_shared_memory_models() {
                 result.relres
             );
             agree(&result.x, &format!("async {write:?}/{res_comp:?}"));
+        }
+    }
+}
+
+/// One outcome rule across every solver family: under a single tolerance,
+/// the sequential, threaded-Mult, sync-Multadd, async-Multadd and
+/// `sharded(2)` solves (the last two under a seeded `VirtualSched`) report
+/// `Converged` exactly when their exact final residual is below it — with a
+/// budget that reaches it and with one that cannot.
+#[test]
+fn every_family_reports_converged_iff_below_tolerance() {
+    use asyncmg_core::{Method, SolveOutcome};
+    use asyncmg_threads::VirtualSched;
+    const TOL: f64 = 1e-6;
+    let setup = setup_for(MatrixFamily::SevenPt(6));
+    let b = random_rhs(setup.n(), 9);
+    for t_max in [2, 400] {
+        let solver = Solver::new(&setup).tolerance(TOL).t_max(t_max);
+        let seeded = VirtualSched::new(31);
+        let sharded_sched = VirtualSched::new(32);
+        let sharded = solver.sched(&sharded_sched).sharded(2).run(&b);
+        let runs = [
+            ("sequential", solver.method(Method::Mult).threads(0).run(&b)),
+            ("threaded mult", solver.method(Method::Mult).threads(2).run(&b)),
+            ("sync multadd", solver.method(Method::Multadd).threads(2).sync(true).run(&b)),
+            ("async multadd", solver.method(Method::Multadd).threads(2).sched(&seeded).run(&b)),
+        ];
+        let mut outcomes: Vec<_> = runs.iter().map(|(w, r)| (*w, r.relres, r.outcome)).collect();
+        outcomes.push(("sharded(2)", sharded.relres, sharded.outcome));
+        for (what, relres, outcome) in outcomes {
+            assert_eq!(
+                outcome == SolveOutcome::Converged,
+                relres < TOL,
+                "{what}, t_max {t_max}: {outcome:?} at relres {relres:e}"
+            );
+            let expected =
+                if t_max == 2 { SolveOutcome::MaxIterations } else { SolveOutcome::Converged };
+            assert_eq!(outcome, expected, "{what}, t_max {t_max}: relres {relres:e}");
         }
     }
 }
