@@ -4,8 +4,8 @@ use crate::coarsen::{aggressive_coarsen, coarsen, n_coarse, Coarsening};
 use crate::interp::{build_interpolation, Interpolation};
 use crate::strength::classical_strength_funcs;
 use asyncmg_sparse::{
-    auto_setup_threads, calibrate, rap_parallel, transpose_parallel, Bsr, Csr, CsrError, DenseLu,
-    Kernel, KernelSelect,
+    auto_setup_threads, rap_parallel, transpose_parallel, Bsr, Csr, CsrError, DenseLu, Kernel,
+    KernelSelect,
 };
 use asyncmg_telemetry::{NoopProbe, Phase, Probe};
 use asyncmg_threads::chunk_range;
@@ -112,11 +112,11 @@ pub struct AmgOptions {
     /// hardware; `1` forces serial. Any value produces bit-identical
     /// operators — the parallel kernels reproduce the serial results exactly.
     pub setup_threads: usize,
-    /// Which kernel layer executes the per-level hot loops. `Auto` installs
-    /// blocked (BSR) operators on levels where `num_functions`-sized blocks
-    /// apply with zero fill-in and the host calibration (when cached) judges
-    /// them profitable; `Csr`/`Bsr` force the choice. Results are
-    /// bit-identical across all settings.
+    /// Which kernel layer executes the per-level hot loops. `Bsr` (the
+    /// default) installs blocked operators on levels where
+    /// `num_functions`-sized blocks apply with zero fill-in and keeps CSR
+    /// elsewhere; `Csr` never blocks. Results are bit-identical across both
+    /// settings.
     pub kernel: KernelSelect,
 }
 
@@ -133,7 +133,7 @@ impl Default for AmgOptions {
             seed: 0xA5A5,
             num_functions: 1,
             setup_threads: 0,
-            kernel: KernelSelect::Auto,
+            kernel: KernelSelect::Bsr,
         }
     }
 }
@@ -342,12 +342,7 @@ pub fn build_hierarchy_probed<P: Probe + ?Sized>(
     }
     let coarse_lu = DenseLu::factor(&current);
     levels.push(Level::new(current, None, None));
-    let want_bsr = match opts.kernel {
-        KernelSelect::Csr => false,
-        KernelSelect::Bsr => true,
-        KernelSelect::Auto => calibrate::get().map(|c| c.use_bsr).unwrap_or(true),
-    };
-    if want_bsr && opts.num_functions > 1 {
+    if opts.kernel == KernelSelect::Bsr && opts.num_functions > 1 {
         for level in &mut levels {
             // Installs only where the pattern is fully block-dense (fill-free),
             // so dispatching through the blocked kernels stays bit-identical.

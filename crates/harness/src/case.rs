@@ -126,7 +126,8 @@ impl FaultAxis {
 /// kernel choice that perturbs a single bit anywhere is a harness failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KernelAxis {
-    /// Auto selection (calibration-driven kernels, SIMD auto-detected).
+    /// The default `AmgOptions` kernel (`KernelSelect::default()`), SIMD
+    /// auto-detected.
     Auto,
     /// Scalar CSR kernels, SIMD disabled.
     CsrScalar,
@@ -151,7 +152,7 @@ impl KernelAxis {
     /// The kernel selection this axis pins in [`asyncmg_amg::AmgOptions`].
     pub fn select(self) -> KernelSelect {
         match self {
-            KernelAxis::Auto => KernelSelect::Auto,
+            KernelAxis::Auto => KernelSelect::default(),
             KernelAxis::CsrScalar | KernelAxis::CsrSimd => KernelSelect::Csr,
             KernelAxis::BsrScalar | KernelAxis::BsrSimd => KernelSelect::Bsr,
         }

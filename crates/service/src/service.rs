@@ -671,7 +671,7 @@ impl SolverService {
                                 RequestStatus::Completed(SolveResponse {
                                     x: report.x,
                                     relres: report.relres,
-                                    converged: q.spec.tol.is_some_and(|t| report.relres <= t),
+                                    converged: q.spec.tol.is_some_and(|t| report.relres < t),
                                     stopped: if q.spec.tol.is_some() {
                                         Stopped::Tolerance
                                     } else {
@@ -747,7 +747,7 @@ impl SolverService {
                 }
                 None => {
                     let relres = result.relres[c];
-                    let converged = q.spec.tol.is_some_and(|t| relres <= t);
+                    let converged = q.spec.tol.is_some_and(|t| relres < t);
                     inner.stats.completed += 1;
                     RequestStatus::Completed(SolveResponse {
                         x: result.x[c * n..(c + 1) * n].to_vec(),

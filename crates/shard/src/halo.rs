@@ -97,6 +97,13 @@ impl ShardMap {
             .collect()
     }
 
+    /// The peers whose halo values shard `to` reads.
+    pub(crate) fn neighbors_in(&self, to: usize) -> Vec<usize> {
+        (0..self.ranges.len())
+            .filter(|&from| from != to && !self.ghost_indices(from, to).is_empty())
+            .collect()
+    }
+
     /// Gathers `x` at the `(from, to)` ghost indices into `out`
     /// (cleared first).
     pub fn gather(&self, from: usize, to: usize, x: &[f64], out: &mut Vec<f64>) {

@@ -6,8 +6,9 @@
 //! row-partitioned into shards (reusing the hierarchy's partition cache),
 //! each shard runs its own worker, and every cross-shard dependency —
 //! halo ghost values, coarse-grid corrections, the residual-norm reduction —
-//! travels through a [`Transport`]. Nothing ever blocks on a message: a
-//! missing halo means smoothing against slightly stale ghosts, and the norm
+//! travels through a [`Transport`]. Nothing ever blocks on the hub: a
+//! missing halo means smoothing against slightly stale ghosts (a shard
+//! only waits for a neighbour more than a few epochs behind), and the norm
 //! reduction ([`NormReducer`]) completes epochs out-of-band, exactly the
 //! asynchronous semantics of the paper with the races made inspectable.
 //!

@@ -28,11 +28,15 @@ pub enum Msg {
     Halo {
         /// Sending shard.
         from: u32,
-        /// Sender's epoch when the values were gathered.
+        /// Sender's epoch when the values were gathered; `u64::MAX` marks
+        /// the sender's final values (it left on its budget or a crash).
         epoch: u64,
         /// Sender's geometry version (adoptions applied). Zero with
         /// recovery off.
         ver: u32,
+        /// Hub corrections the values reflect (`u64::MAX` for final
+        /// values: no later correction reaches them).
+        corr_seen: u64,
         /// Iterate values in ghost-index order.
         vals: Vec<f64>,
     },
@@ -45,8 +49,10 @@ pub enum Msg {
         epoch: u64,
         /// Sender's geometry version. Zero with recovery off.
         ver: u32,
-        /// Number of hub corrections the sender had applied by then (the
-        /// hub's overshoot guard).
+        /// Number of hub corrections the segment reflects: applied to the
+        /// sender's own rows *and* to every ghost value it read (the
+        /// minimum over the sender and the halos it last scattered). The
+        /// hub's overshoot guard.
         corr_seen: u64,
         /// The shard's own rows of `b − A x`.
         vals: Vec<f64>,
@@ -165,7 +171,7 @@ mod tests {
         assert!(Msg::Stop.is_control());
         assert!(Msg::Done { from: 3 }.is_control());
         assert!(Msg::Evict.is_control());
-        assert!(!Msg::Halo { from: 0, epoch: 0, ver: 0, vals: vec![] }.is_control());
+        assert!(!Msg::Halo { from: 0, epoch: 0, ver: 0, corr_seen: 0, vals: vec![] }.is_control());
         assert!(!Msg::NormComplete { epoch: 0, relres: 1.0 }.is_control());
         assert!(!Msg::Checkpoint { from: 0, epoch: 0, ver: 0, vals: vec![] }.is_control());
         assert!(!Msg::Ack { from: 0, seq: 0 }.is_control());

@@ -7,17 +7,24 @@
 //!   drains its inbox (halo values, coarse corrections, stop requests),
 //!   smooths its own rows against its local snapshot, computes its residual
 //!   segment, and fires halo values at its neighbours plus a residual
-//!   segment and a partial norm at the hub. Nothing ever blocks: missing
-//!   messages just mean this epoch smooths against slightly stale ghosts —
-//!   the asynchronous model of the paper, recast over messages.
+//!   segment and a partial norm at the hub. Missing messages just mean this
+//!   epoch smooths against slightly stale ghosts — the asynchronous model
+//!   of the paper, recast over messages — but the staleness is bounded: a
+//!   shard more than `MAX_LEAD` epochs ahead of a halo neighbour yields
+//!   until that neighbour's halos catch up.
 //! * One *hub*, rank `S`, assembles residual segments, runs the coarse
 //!   half of the multiplicative cycle (`coarse_correction`) when every live
-//!   shard has contributed a residual fresher than the last correction —
-//!   and has acknowledged that correction (or run two epochs past it, the
-//!   lost-correction valve) so corrections are never compounded from stale
-//!   data — and broadcasts per-shard correction segments. It also runs the
+//!   shard has contributed a residual fresher than the last correction
+//!   that reflects it on its own rows and in every ghost it read (or, where
+//!   a correction can be lost, run two epochs past it, the lost-correction
+//!   valve) so corrections are never compounded from stale data — and
+//!   broadcasts per-shard correction segments. It also runs the
 //!   never-blocking norm reduction ([`NormReducer`]) and broadcasts
 //!   `NormComplete`/`Stop`.
+//! * A `Stop` is a candidate: after the join the exact residual of the
+//!   assembled iterate confirms it, or the shards that left on it are
+//!   launched again from that iterate, with their epochs, correction counts
+//!   and the hub's bookkeeping carried over.
 //!
 //! Faults compose at the send boundary: a `FaultPlan`'s stragglers stall a
 //! shard's epoch loop, crashes end it early, corruption garbles the first
@@ -70,6 +77,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// How many epochs a shard may run ahead of the epoch it last heard each
+/// halo neighbour reach (bounded staleness). Without the bound a shard the
+/// OS schedules more often spends its whole budget while a neighbour is
+/// still early on, and the solve ends far from tolerance.
+const MAX_LEAD: u64 = 4;
+
 /// Knobs of a sharded solve.
 #[derive(Clone, Copy, Debug)]
 pub struct ShardOptions {
@@ -108,8 +121,9 @@ pub struct ShardResult {
     pub x: Vec<f64>,
     /// Exact relative residual, recomputed after the run.
     pub relres: f64,
-    /// Whether the hub's reduction observed the tolerance met and broadcast
-    /// `Stop` (release/acquire: schedule-independent).
+    /// Whether the solve stopped on the tolerance: the hub's reduction fell
+    /// below it, broadcast `Stop`, and the exact residual of the assembled
+    /// iterate confirmed it (`relres < tolerance`).
     pub stopped_on_tolerance: bool,
     /// Structured outcome: [`SolveOutcome::classify`] of `relres`, the
     /// tolerance and the fault log, so `Converged` implies `relres < tol`
@@ -140,11 +154,34 @@ pub struct ShardResult {
 
 /// What the hub hands back across the team join: the recovery ledger plus
 /// the checkpoint segments of dead, never-adopted shards — spliced into the
-/// output at quiescence so the write cannot race a zombie's publication.
+/// output at quiescence so the write cannot race a zombie's publication —
+/// and the state a resumed launch's hub continues from.
 #[derive(Default)]
 struct HubOutcome {
     report: RecoveryReport,
     backfill: Vec<(Range<usize>, Vec<f64>)>,
+    carry: Option<HubCarry>,
+}
+
+/// The hub's assembly and correction bookkeeping, carried from one launch
+/// to the next so cycle numbers, acks and reduction epochs run on.
+struct HubCarry {
+    r_asm: Vec<f64>,
+    have: Vec<Option<u64>>,
+    used: Vec<Option<u64>>,
+    acks: Vec<u64>,
+    cycles: u64,
+    reducer: NormReducer,
+}
+
+/// Where one launch of the ranks starts: from zero, or — after a stop the
+/// exact residual did not confirm — from the previous launch's state.
+struct Launch {
+    /// The full-length iterate every shard starts from.
+    x0: Vec<f64>,
+    /// Per shard: `None` if it left for good (budget or crash), else the
+    /// epoch and the number of hub corrections it resumes from.
+    resume: Vec<Option<(u64, u64)>>,
 }
 
 /// Everything the workers share, borrowed for the duration of the team
@@ -161,8 +198,13 @@ struct Shared<'a> {
     faults: &'a Mutex<Vec<FaultRecord>>,
     reductions: &'a Mutex<Vec<Reduction>>,
     shard_epochs: &'a [AtomicU64],
+    /// Per shard, written at its exit: `None` unless it left on a `Stop`
+    /// (the one exit a later launch resumes from), else the hub
+    /// corrections it had applied.
+    shard_exit: &'a [Mutex<Option<u64>>],
     hub_cycles: &'a AtomicU64,
     hub_out: &'a Mutex<HubOutcome>,
+    launch: &'a Launch,
     norm_b: f64,
     clock: &'a dyn Clock,
     /// Clock reading at solve start; [`Shared::now`] reports offsets so
@@ -218,67 +260,101 @@ pub fn solve_sharded<P: Probe + ?Sized>(
     let os_clock = OsClock::new();
     let clock = env.clock.unwrap_or(&os_clock);
 
-    let out = RacyVec::zeros(n);
+    let mut out = RacyVec::zeros(n);
     let stop_flag = AtomicBool::new(false);
     let faults = Mutex::new(Vec::new());
     let reductions = Mutex::new(Vec::new());
     let shard_epochs: Vec<AtomicU64> = (0..s_count).map(|_| AtomicU64::new(0)).collect();
+    let shard_exit: Vec<Mutex<Option<u64>>> = (0..s_count).map(|_| Mutex::new(None)).collect();
     let hub_cycles = AtomicU64::new(0);
     let hub_out = Mutex::new(HubOutcome::default());
     let start = Instant::now();
     let norm_b = vecops::norm2(b);
-
-    let shared = Shared {
-        setup,
-        b,
-        opts,
-        map: &map,
-        transport,
-        plan: env.plan,
-        out: &out,
-        stop_flag: &stop_flag,
-        faults: &faults,
-        reductions: &reductions,
-        shard_epochs: &shard_epochs,
-        hub_cycles: &hub_cycles,
-        hub_out: &hub_out,
-        norm_b,
-        clock,
-        t0: clock.now_ns(),
-    };
-
+    let t0 = clock.now_ns();
     let team_sizes = vec![1usize; s_count + 1];
     let os_sched = OsSched::for_teams(&team_sizes);
     let sched = env.sched.unwrap_or(&os_sched);
-    run_teams_sched(&team_sizes, sched, |ctx| {
-        if ctx.team_id < s_count {
-            shard_worker(&shared, probe, &ctx, ctx.team_id);
-        } else {
-            hub_worker(&shared, probe, &ctx);
-        }
-    });
+    let mut launch = Launch { x0: vec![0.0; n], resume: vec![Some((0, 0)); s_count] };
 
-    // Quiescent now: assemble and measure exactly. `shared` borrows `out`
-    // and the fault/reduction logs; moving it out of scope releases them.
-    #[allow(clippy::drop_non_drop)]
-    drop(shared);
-    let mut out = out;
-    let HubOutcome { report, backfill } = hub_out.into_inner().unwrap();
-    // Dead shards that nobody adopted left their rows unwritten; the hub's
-    // last checkpoints are the best surviving values for them.
-    for (range, vals) in backfill {
-        out.as_mut_slice()[range].copy_from_slice(&vals);
-    }
-    let x = out.as_mut_slice().to_vec();
-    let mut r = vec![0.0; n];
-    setup.a(0).residual(b, &x, &mut r);
-    let norm = vecops::norm2(&r);
-    let relres = if norm_b > 0.0 { norm / norm_b } else { norm };
+    let (x, relres, stopped_on_tolerance) = loop {
+        stop_flag.store(false, Ordering::Release);
+        let shared = Shared {
+            setup,
+            b,
+            opts,
+            map: &map,
+            transport,
+            plan: env.plan,
+            out: &out,
+            stop_flag: &stop_flag,
+            faults: &faults,
+            reductions: &reductions,
+            shard_epochs: &shard_epochs,
+            shard_exit: &shard_exit,
+            hub_cycles: &hub_cycles,
+            hub_out: &hub_out,
+            launch: &launch,
+            norm_b,
+            clock,
+            t0,
+        };
+        run_teams_sched(&team_sizes, sched, |ctx| {
+            if ctx.team_id < s_count {
+                shard_worker(&shared, probe, &ctx, ctx.team_id);
+            } else {
+                hub_worker(&shared, probe, &ctx);
+            }
+        });
+
+        // Quiescent now: assemble and measure exactly.
+        let x = out.as_mut_slice();
+        // Dead shards that nobody adopted left their rows unwritten; the
+        // hub's last checkpoints are the best surviving values for them.
+        for (range, vals) in std::mem::take(&mut hub_out.lock().unwrap().backfill) {
+            x[range].copy_from_slice(&vals);
+        }
+        let x = x.to_vec();
+        let mut r = vec![0.0; n];
+        setup.a(0).residual(b, &x, &mut r);
+        let norm = vecops::norm2(&r);
+        let relres = if norm_b > 0.0 { norm / norm_b } else { norm };
+        let below = opts.tolerance.is_some_and(|t| relres < t);
+        let stopped = stop_flag.load(Ordering::Acquire);
+        // A completed reduction below tolerance is only a candidate stop: it
+        // summed partial norms taken against different ghosts, and the
+        // shards ran on after them. Unless the exact residual confirms it,
+        // resume the shards that left on the `Stop` — while nothing
+        // diverged or was poisoned, and with recovery off (its ledger and
+        // reliable channels belong to one launch).
+        let resume: Vec<Option<(u64, u64)>> = (0..s_count)
+            .map(|t| {
+                let corr = (*shard_exit[t].lock().unwrap())?;
+                Some((shard_epochs[t].load(Ordering::Acquire), corr))
+            })
+            .collect();
+        let again = stopped
+            && !below
+            && opts.recovery.is_none()
+            && resume.iter().any(Option::is_some)
+            && SolveOutcome::classify(relres, opts.tolerance, &faults.lock().unwrap())
+                != SolveOutcome::Faulted;
+        if !again {
+            break (x, relres, stopped && below);
+        }
+        // Every shard that runs again must contribute afresh before a
+        // reduction can complete, so each launch costs budget.
+        if let Some(carry) = hub_out.lock().unwrap().carry.as_mut() {
+            carry.reducer.clear_pending();
+        }
+        launch = Launch { x0: x, resume };
+    };
+
+    let HubOutcome { report, .. } = hub_out.into_inner().unwrap();
     let faults = faults.into_inner().unwrap();
     ShardResult {
         x,
         relres,
-        stopped_on_tolerance: stop_flag.load(Ordering::Acquire),
+        stopped_on_tolerance,
         outcome: SolveOutcome::classify(relres, opts.tolerance, &faults),
         faults,
         shard_epochs: shard_epochs.iter().map(|e| e.load(Ordering::Acquire)).collect(),
@@ -293,6 +369,9 @@ pub fn solve_sharded<P: Probe + ?Sized>(
 
 /// One shard's epoch loop.
 fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>, s: usize) {
+    let Some((mut epochs_done, mut corr_seen)) = cx.launch.resume[s] else {
+        return; // left for good in an earlier launch
+    };
     // Recovery rewires the geometry live, so every worker drives its own
     // copy of the map (identical to the shared one while no adoption is
     // applied).
@@ -302,17 +381,28 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
     let a = cx.setup.a(0);
     let smoother = &cx.setup.smoothers[0];
     let mut neighbors = map.neighbors_out(s);
+    let mut senders = map.neighbors_in(s);
     let n = cx.b.len();
     let rec = cx.opts.recovery;
 
     // Full-length local iterate: authoritative on own rows, halo-refreshed
     // ghosts elsewhere (never read outside own rows' sparsity).
-    let mut x = vec![0.0; n];
+    let mut x = cx.launch.x0.clone();
     let mut block = vec![0.0; rs.len()];
     let mut r = vec![0.0; n];
     let mut wire = Vec::new();
-    let mut corr_seen: u64 = 0;
-    let mut epochs_done: u64 = 0;
+    // Per shard: the epoch its halos show it has reached (`u64::MAX` once
+    // it sent its final values). The bound waits on halos, so it holds
+    // only where every halo arrives intact: recovery off, no fault plan,
+    // and (checked while waiting) a transport that has lost nothing.
+    let mut peer_epoch: Vec<u64> =
+        cx.launch.resume.iter().map(|r| r.map_or(u64::MAX, |(e, _)| e)).collect();
+    // Per shard: the hub corrections its ghost values here reflect.
+    let mut ghost_corr: Vec<u64> =
+        cx.launch.resume.iter().map(|r| r.map_or(u64::MAX, |(_, c)| c)).collect();
+    let bounded = rec.is_none() && cx.plan.is_none();
+    // Whether the epoch loop ended on a `Stop`.
+    let mut stopped = false;
     // Geometry version: adoptions applied so far. Messages tagged with a
     // different version describe a layout this shard is not at and are
     // silently discarded (not faults — just staleness).
@@ -324,7 +414,8 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
     // rows — node loss as the hub's failure detector sees it.
     let mut silent = false;
 
-    'epochs: for e in 0..cx.opts.t_max as u64 {
+    'epochs: while epochs_done < cx.opts.t_max as u64 {
+        let e = epochs_done;
         team.sched_point(SchedPoint::Yield);
         if let Some(plan) = cx.plan {
             let steps = plan.stall_steps(s, e);
@@ -359,13 +450,17 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
                 m => m,
             };
             match msg {
-                Msg::Halo { from, ver: v, vals, .. } => {
+                Msg::Halo { from, epoch, ver: v, corr_seen: c, vals } => {
                     if v != ver {
                         continue; // stale geometry (or a fenced zombie)
                     }
-                    let ok = vals.iter().all(|v| v.is_finite())
-                        && map.scatter(from as usize, s, &vals, &mut x);
-                    if !ok {
+                    let f = from as usize;
+                    let seen = &mut peer_epoch[f];
+                    *seen = if epoch == u64::MAX { epoch } else { (*seen).max(epoch + 1) };
+                    let ok = vals.iter().all(|v| v.is_finite()) && map.scatter(f, s, &vals, &mut x);
+                    if ok {
+                        ghost_corr[f] = c;
+                    } else {
                         cx.log_fault(probe, FaultKind::GuardTripped { grid: from });
                     }
                 }
@@ -401,6 +496,7 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
                         ver += 1;
                         rs = map.range(s);
                         neighbors = map.neighbors_out(s);
+                        senders = map.neighbors_in(s);
                         if s == adopter as usize {
                             block.resize(rs.len(), 0.0);
                             // Warm-start the adopted rows from the hub's
@@ -413,7 +509,10 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
                         }
                     }
                 }
-                Msg::Stop => break 'epochs,
+                Msg::Stop => {
+                    stopped = true;
+                    break 'epochs;
+                }
                 Msg::Evict => {
                     silent = true;
                     break 'epochs;
@@ -422,6 +521,14 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
                 // variants are hub-bound and never addressed here.
                 _ => {}
             }
+        }
+
+        // Too far ahead of a neighbour: yield and drain again, same epoch.
+        if bounded
+            && senders.iter().any(|&t| e > peer_epoch[t].saturating_add(MAX_LEAD))
+            && !lost_any(cx.transport)
+        {
+            continue;
         }
 
         // Smooth own rows against the local snapshot.
@@ -446,9 +553,13 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
                     cx.log_fault(probe, FaultKind::WriteCorrupted { grid: s as u32 });
                 }
                 let vals = wire.clone();
-                cx.transport.send(s, t, Msg::Halo { from: s as u32, epoch: e, ver, vals });
+                let m = Msg::Halo { from: s as u32, epoch: e, ver, corr_seen, vals };
+                cx.transport.send(s, t, m);
                 team.sched_point(SchedPoint::RacyWrite);
             }
+            // The segment reflects a correction only once every ghost it
+            // read does too.
+            let corr = senders.iter().fold(corr_seen, |m, &t| m.min(ghost_corr[t]));
             let mut seg = r[rs.clone()].to_vec();
             if let Some(kind) = corrupt.take() {
                 seg[0] = cx.plan.unwrap().corrupt_value(kind, seg[0], s, e);
@@ -457,7 +568,7 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
             cx.transport.send(
                 s,
                 hub,
-                Msg::Residual { from: s as u32, epoch: e, ver, corr_seen, vals: seg },
+                Msg::Residual { from: s as u32, epoch: e, ver, corr_seen: corr, vals: seg },
             );
             cx.transport.send(s, hub, Msg::PartialNorm { from: s as u32, epoch: e, ver, sumsq });
             if let Some(rc) = rec {
@@ -477,6 +588,17 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
     }
 
     if !silent {
+        if !stopped {
+            // Leaving for good (budget or crash): final values, stamped
+            // epoch `u64::MAX`, so no neighbour waits on this shard again.
+            for &t in &neighbors {
+                map.gather(s, t, &x, &mut wire);
+                let vals = wire.clone();
+                let m =
+                    Msg::Halo { from: s as u32, epoch: u64::MAX, ver, corr_seen: u64::MAX, vals };
+                cx.transport.send(s, t, m);
+            }
+        }
         // Terminal control: even a budget-exhausted shard's `Done` reaches
         // the hub so the run always terminates.
         cx.transport.send(s, hub, Msg::Done { from: s as u32 });
@@ -485,6 +607,7 @@ fn shard_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_
         unsafe { cx.out.slice_mut(rs.clone()) }.copy_from_slice(&x[rs]);
     }
     cx.shard_epochs[s].store(epochs_done, Ordering::Release);
+    *cx.shard_exit[s].lock().unwrap() = stopped.then_some(corr_seen);
 }
 
 /// A shard rank as the hub sees it.
@@ -512,16 +635,23 @@ fn hub_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>)
     let rec = cx.opts.recovery;
 
     let mut map = cx.map.clone();
-    let mut r_asm = vec![0.0; n];
+    let carry = cx.hub_out.lock().unwrap().carry.take();
+    let HubCarry { mut r_asm, mut have, mut used, mut acks, mut cycles, mut reducer } = carry
+        .unwrap_or_else(|| HubCarry {
+            r_asm: vec![0.0; n],
+            have: vec![None; s_count],
+            used: vec![None; s_count],
+            acks: vec![0; s_count],
+            cycles: 0,
+            reducer: NormReducer::new(s_count, cx.norm_b),
+        });
     let mut c = vec![0.0; n];
     let mut ws = Workspace::new(cx.setup);
-    let mut have: Vec<Option<u64>> = vec![None; s_count];
-    let mut used: Vec<Option<u64>> = vec![None; s_count];
-    let mut acks: Vec<u64> = vec![0; s_count];
-    let mut peer = vec![Peer::Live; s_count];
-    let mut terminated = 0usize;
-    let mut reducer = NormReducer::new(s_count, cx.norm_b);
-    let mut cycles: u64 = 0;
+    // A shard that left for good in an earlier launch does not run again.
+    let mut peer: Vec<Peer> = (cx.launch.resume.iter())
+        .map(|r| if r.is_some() { Peer::Live } else { Peer::Finished })
+        .collect();
+    let mut terminated = peer.iter().filter(|&&p| p == Peer::Finished).count();
     let mut stop_sent = false;
 
     // Recovery state. Geometry version = adoptions applied; data messages
@@ -598,8 +728,8 @@ fn hub_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>)
                         if have[f].is_none_or(|h| epoch > h) {
                             r_asm[rs].copy_from_slice(&vals);
                             have[f] = Some(epoch);
+                            acks[f] = corr_seen;
                         }
-                        acks[f] = acks[f].max(corr_seen);
                     } else {
                         cx.log_fault(probe, FaultKind::GuardTripped { grid: from });
                     }
@@ -765,6 +895,13 @@ fn hub_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>)
         if stop_sent || !has_coarse || peer.iter().all(|&p| p != Peer::Live) {
             continue;
         }
+        // Rows nobody updates any more — a shard that left for good, or
+        // died with its rows not adopted — keep a frozen residual segment;
+        // correcting from it would feed the same residual in again and
+        // again.
+        if (0..s_count).any(|t| peer[t] != Peer::Live && !map.range(t).is_empty()) {
+            continue;
+        }
         // Correct only from a caught-up snapshot: a burst-capped drain that
         // did not run dry left newer residuals queued, and a correction
         // computed from the stale assembly would overshoot what the shards
@@ -792,9 +929,11 @@ fn hub_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>)
         if !fresh {
             continue;
         }
-        // …and the previous correction was seen by everyone (else wait two
-        // more epochs — after that, assume the correction was lost in a
-        // lossy fabric and move on rather than stall forever).
+        // …and every assembled segment reflects the previous correction, on
+        // its own rows and in every ghost it read. Only where a correction
+        // can be lost — recovery armed, or a transport that has dropped or
+        // overflowed a message — wait two more epochs at most, then assume
+        // it was lost and move on rather than stall forever.
         let acked = (0..s_count).all(|t| peer[t] != Peer::Live || acks[t] >= cycles);
         let patient = (0..s_count).all(|t| {
             peer[t] != Peer::Live
@@ -804,7 +943,7 @@ fn hub_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>)
                     (None, _) => false,
                 }
         });
-        if !(acked || patient) {
+        if !(acked || patient && (rec.is_some() || lost_any(cx.transport))) {
             continue;
         }
 
@@ -841,6 +980,7 @@ fn hub_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>)
         }
     }
     cx.hub_cycles.store(cycles, Ordering::Release);
+    cx.hub_out.lock().unwrap().carry = Some(HubCarry { r_asm, have, used, acks, cycles, reducer });
 
     if rec.is_some() {
         // Hand the recovery ledger — plus checkpoint segments for dead,
@@ -856,4 +996,10 @@ fn hub_worker<P: Probe + ?Sized>(cx: &Shared<'_>, probe: &P, team: &TeamCtx<'_>)
         }
         out.report = report;
     }
+}
+
+/// Whether the fabric has lost a message so far (dropped or overflowed).
+fn lost_any(transport: &dyn Transport) -> bool {
+    let stats = transport.stats();
+    stats.total_dropped() + stats.total_overflowed() > 0
 }

@@ -19,38 +19,12 @@ use crate::csr::Csr;
 /// Which kernel layer a solver should use for its per-level operators.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelSelect {
-    /// Use BSR where it is both applicable (block-aligned, zero fill-in)
-    /// and judged profitable by the host calibration (or by the built-in
-    /// default of "blocks of 2 or more are worth it" when no calibration
-    /// is cached). The default.
-    #[default]
-    Auto,
     /// Always use the scalar-row CSR kernels.
     Csr,
-    /// Use BSR wherever applicable (block-aligned, zero fill-in),
-    /// regardless of calibration; falls back to CSR elsewhere.
+    /// Use BSR wherever applicable (block-aligned, zero fill-in) and CSR
+    /// elsewhere. The default.
+    #[default]
     Bsr,
-}
-
-impl KernelSelect {
-    /// Parses the common spellings used by env vars / CLI flags.
-    pub fn parse(s: &str) -> Option<KernelSelect> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Some(KernelSelect::Auto),
-            "csr" | "scalar" => Some(KernelSelect::Csr),
-            "bsr" | "block" | "blocked" => Some(KernelSelect::Bsr),
-            _ => None,
-        }
-    }
-
-    /// Stable label for bench output and fuzz-case names.
-    pub fn label(&self) -> &'static str {
-        match self {
-            KernelSelect::Auto => "auto",
-            KernelSelect::Csr => "csr",
-            KernelSelect::Bsr => "bsr",
-        }
-    }
 }
 
 /// A borrowed view of one operator plus the kernel that should execute it.
@@ -190,15 +164,6 @@ mod tests {
         kc.residual(&b, &x, &mut y0);
         kb.residual(&b, &x, &mut y1);
         assert_eq!(y0, y1);
-    }
-
-    #[test]
-    fn select_parses_and_labels() {
-        assert_eq!(KernelSelect::parse("auto"), Some(KernelSelect::Auto));
-        assert_eq!(KernelSelect::parse("CSR"), Some(KernelSelect::Csr));
-        assert_eq!(KernelSelect::parse("blocked"), Some(KernelSelect::Bsr));
-        assert_eq!(KernelSelect::parse("gpu"), None);
-        assert_eq!(KernelSelect::default().label(), "auto");
     }
 }
 

@@ -28,7 +28,6 @@
 
 pub mod atomic;
 pub mod bsr;
-pub mod calibrate;
 pub mod coo;
 pub mod csr;
 pub mod dense;
@@ -43,7 +42,6 @@ pub mod vecops;
 
 pub use atomic::AtomicF64Vec;
 pub use bsr::Bsr;
-pub use calibrate::{Calibration, HostFingerprint};
 pub use coo::Coo;
 pub use csr::{Csr, CsrError};
 pub use dense::{DenseLu, DenseMatrix};

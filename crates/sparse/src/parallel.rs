@@ -30,23 +30,18 @@ use crate::spgemm::spgemm;
 use asyncmg_threads::{run_teams, RacyBuf};
 
 /// Threads to use for a setup kernel over a matrix with `nnz` stored entries,
-/// when the caller asks for automatic selection.
+/// when the caller asks for automatic selection:
+/// `min(available_parallelism, 8, nnz / 65536)`, at least 1.
 ///
 /// Small matrices (the coarse grids of a hierarchy) stay serial: forking a
 /// team costs more than the multiply. The threshold is deliberately
 /// conservative — a 27-point 3-D operator crosses it around a `20³` grid.
-/// When a host calibration is cached ([`crate::calibrate`]), its measured
-/// serial/parallel crossover and team-size cap replace the built-in
-/// defaults; calibrated values are clamped so the small-stays-serial and
-/// ≤ 8-thread invariants hold regardless of cache contents.
+/// The rule depends only on `nnz` and the host's core count, and any thread
+/// count produces bit-identical results.
 pub fn auto_setup_threads(nnz: usize) -> usize {
     const MIN_NNZ_PER_THREAD: usize = 64 * 1024;
-    let (min_per, cap) = match crate::calibrate::get() {
-        Some(c) => (c.min_nnz_per_thread.max(1), c.max_setup_threads.max(1)),
-        None => (MIN_NNZ_PER_THREAD, 8),
-    };
     let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    hw.min(8).min(cap).min(nnz / min_per).max(1)
+    hw.min(8).min(nnz / MIN_NNZ_PER_THREAD).max(1)
 }
 
 /// Computes `C = A B` on `n_threads` threads; bit-identical to
@@ -323,9 +318,10 @@ mod tests {
 
     #[test]
     fn auto_threads_is_serial_for_small_and_bounded() {
-        assert_eq!(auto_setup_threads(0), 1);
-        assert_eq!(auto_setup_threads(1000), 1);
-        assert!(auto_setup_threads(usize::MAX / 2) <= 8);
+        let nproc = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        for nnz in [0, 1000, 65_535, 131_072, 343_000, 100_000_000, usize::MAX / 2] {
+            assert_eq!(auto_setup_threads(nnz), nproc.min(8).min(nnz / 65_536).max(1), "nnz {nnz}");
+        }
     }
 }
 

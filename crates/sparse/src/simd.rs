@@ -20,14 +20,14 @@
 //! one row's four accumulators in one vector register needs a hardware
 //! gather (`vgatherdpd`) per four nonzeros, and on the reference host that
 //! costs 2.47 ns/nnz against 0.72 ns/nnz for the scalar loop below (27pt
-//! n=24, `Csr::spmv_block(1)`) — a loss no mode or calibration flag should be
-//! able to select, so there is no such kernel. On aarch64 [`dot4`] has a NEON
+//! n=24, `Csr::spmv_block(1)`) — a loss no mode should be able to select, so
+//! there is no such kernel. On aarch64 [`dot4`] has a NEON
 //! variant that fetches `x` with scalar loads (no vector gather to lose to).
 //!
 //! Selection is process-global: the `ASYNCMG_SIMD` environment variable
 //! (`off`/`0`/`scalar` disables; anything else, `force`/`on`/`1` included,
 //! auto-detects) read once at first use, overridable at runtime with
-//! [`set_mode`] (a test/calibration knob). Because every SIMD kernel is
+//! [`set_mode`] (a test and `simd_guard` knob). Because every SIMD kernel is
 //! bit-identical to the scalar one, switching modes never changes any
 //! numerical result — only which instructions produce it.
 
@@ -57,8 +57,8 @@ fn mode_from(value: Option<&str>) -> SimdMode {
     }
 }
 
-/// Overrides the SIMD mode for this process (tests and the calibration
-/// guard use this; production code normally leaves the environment-derived
+/// Overrides the SIMD mode for this process (tests and the `simd_guard`
+/// bin use this; production code normally leaves the environment-derived
 /// default alone). Numerical results are unaffected — the SIMD paths are
 /// bit-identical to the scalar one.
 pub fn set_mode(mode: SimdMode) {

@@ -93,9 +93,13 @@ impl<T> SpscRing<T> {
     /// Number of queued elements (approximate under concurrency; exact when
     /// the ring is quiescent).
     pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
+        // Head first: the consumer never moves it past a tail it has seen,
+        // so the tail read after it is never behind it and the difference
+        // cannot wrap while both ends move. Pushes between the two reads
+        // can still carry it past the capacity, hence the clamp.
         let head = self.head.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
+        let tail = self.tail.load(Ordering::Acquire);
+        tail.wrapping_sub(head).min(self.slots.len())
     }
 
     /// `true` when no element is queued (same caveat as [`SpscRing::len`]).
@@ -170,6 +174,44 @@ mod tests {
         }
         producer.join().unwrap();
         assert!(ring.is_empty());
+    }
+
+    /// An observer thread reading `len` while both ends move never sees
+    /// more than the capacity (a tail read before the head used to wrap).
+    #[test]
+    fn len_stays_within_capacity_while_both_ends_move() {
+        let ring = Arc::new(SpscRing::with_capacity(8));
+        let n = 200_000u64;
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let producer = {
+            let ring = Arc::clone(&ring);
+            std::thread::spawn(move || {
+                let mut sent = 0u64;
+                while sent < n {
+                    if ring.push(sent).is_ok() {
+                        sent += 1;
+                    }
+                }
+            })
+        };
+        let consumer = {
+            let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut got = 0u64;
+                while got < n {
+                    if ring.pop().is_some() {
+                        got += 1;
+                    }
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        while !done.load(Ordering::Acquire) {
+            let len = ring.len();
+            assert!(len <= ring.capacity(), "len {len} above capacity {}", ring.capacity());
+        }
+        producer.join().unwrap();
+        consumer.join().unwrap();
     }
 
     #[test]
