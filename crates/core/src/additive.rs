@@ -11,13 +11,16 @@
 //!   right-hand side `r_k − A_k P e_{k+1}` that avoids over-correction.
 //!
 //! [`grid_correction`] computes one grid's correction from a fine-grid
-//! residual; it is the building block shared by the synchronous solver here,
-//! the simulation models, and the thread-team implementation.
+//! residual: the chain in `chain.rs` run as a team of one, the same code
+//! the asynchronous thread teams run. The synchronous solver here, the
+//! simulation models and the additive preconditioner call it.
 
-use crate::setup::{CoarseSolve, MgSetup};
+use crate::chain::Chain;
+use crate::setup::MgSetup;
 use crate::workspace::Workspace;
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
+use asyncmg_threads::TeamCtx;
 use std::time::Instant;
 
 /// The additive methods of the paper.
@@ -51,8 +54,7 @@ impl AdditiveMethod {
 
 /// Computes grid `k`'s additive correction from the fine-grid residual `r`,
 /// writing it into `out` (fine-grid length). `scratch` is reused across
-/// calls; the restricted residual lives in `scratch.r`, the correction in
-/// `scratch.e`.
+/// calls.
 pub fn grid_correction(
     setup: &MgSetup,
     method: AdditiveMethod,
@@ -61,122 +63,9 @@ pub fn grid_correction(
     out: &mut [f64],
     scratch: &mut Workspace,
 ) {
-    let ell = setup.n_levels() - 1;
-    debug_assert!(k <= ell);
-    // Restrict the fine-grid residual down to level k.
-    scratch.r[0].copy_from_slice(r);
-    for j in 0..k {
-        let (head, tail) = scratch.r.split_at_mut(j + 1);
-        let restrict =
-            if method.uses_smoothed_interpolants() { setup.r_bar(j) } else { setup.r(j) };
-        restrict.spmv(&head[j], &mut tail[0]);
-    }
-
-    match method {
-        AdditiveMethod::Multadd | AdditiveMethod::Bpx => {
-            if k == ell {
-                coarse_apply(
-                    setup,
-                    setup.opts.coarse,
-                    &scratch.r[k],
-                    &mut scratch.e[k],
-                    &mut scratch.buf[k],
-                );
-            } else if method == AdditiveMethod::Multadd {
-                // Λ_k = symmetrized smoother (paper Section II.B.1).
-                let (ck, ek, bk) = (&scratch.r[k], &mut scratch.e[k], &mut scratch.buf[k]);
-                setup.smoothers[k].multadd_lambda_op(setup.op(k), ck, ek, bk);
-            } else {
-                // BPX: one plain smoother application.
-                setup.smoothers[k].apply_zero_op(setup.op(k), &scratch.r[k], &mut scratch.e[k]);
-            }
-        }
-        AdditiveMethod::Afacx => {
-            if k == ell {
-                coarse_apply(
-                    setup,
-                    setup.opts.afacx_coarse,
-                    &scratch.r[k],
-                    &mut scratch.e[k],
-                    &mut scratch.buf[k],
-                );
-            } else {
-                // Step 1: e_{k+1} by smoothing A_{k+1} e = r_{k+1} from zero,
-                // where r_{k+1} is the residual restricted one level further
-                // (with the *plain* interpolant).
-                {
-                    let (head, tail) = scratch.r.split_at_mut(k + 1);
-                    setup.r(k).spmv(&head[k], &mut tail[0]);
-                }
-                smooth_zero_sweeps(
-                    setup,
-                    k + 1,
-                    setup.opts.afacx_s2,
-                    &scratch.r[k + 1],
-                    &mut scratch.e[k + 1],
-                    &mut scratch.buf[k + 1],
-                );
-                // Step 2 (modified rhs form, Algorithm 2 lines 8–9):
-                // g = r_k − A_k P e_{k+1}; e_k = smooth-from-zero on g.
-                let (e_head, e_tail) = scratch.e.split_at_mut(k + 1);
-                setup.p(k).spmv(&e_tail[0], &mut scratch.buf2[k]);
-                setup.op(k).spmv(&scratch.buf2[k], &mut scratch.buf[k]);
-                for i in 0..scratch.buf[k].len() {
-                    scratch.buf[k][i] = scratch.r[k][i] - scratch.buf[k][i];
-                }
-                let g = std::mem::take(&mut scratch.buf[k]);
-                smooth_zero_sweeps(
-                    setup,
-                    k,
-                    setup.opts.afacx_s1,
-                    &g,
-                    &mut e_head[k],
-                    &mut scratch.buf2[k],
-                );
-                scratch.buf[k] = g;
-            }
-        }
-    }
-
-    // Prolongate the correction back to the fine grid.
-    for j in (0..k).rev() {
-        let (head, tail) = scratch.e.split_at_mut(j + 1);
-        let prolong = if method.uses_smoothed_interpolants() { setup.p_bar(j) } else { setup.p(j) };
-        prolong.spmv(&tail[0], &mut head[j]);
-    }
-    out.copy_from_slice(&scratch.e[0]);
-}
-
-/// Applies the coarse treatment (`A_ℓ⁻¹` or smoothing sweeps).
-fn coarse_apply(setup: &MgSetup, coarse: CoarseSolve, r: &[f64], e: &mut [f64], buf: &mut [f64]) {
-    let ell = setup.n_levels() - 1;
-    match coarse {
-        CoarseSolve::Exact => match &setup.hierarchy.coarse_lu {
-            Some(lu) => lu.solve(r, e),
-            None => {
-                // Singular coarsest operator: fall back to smoothing.
-                smooth_zero_sweeps(setup, ell, 2, r, e, buf);
-            }
-        },
-        CoarseSolve::Smooth { sweeps } => {
-            smooth_zero_sweeps(setup, ell, sweeps, r, e, buf);
-        }
-    }
-}
-
-/// `e = (sweeps of the level-k smoother from zero guess on A_k e = r)`.
-fn smooth_zero_sweeps(
-    setup: &MgSetup,
-    k: usize,
-    sweeps: usize,
-    r: &[f64],
-    e: &mut [f64],
-    buf: &mut [f64],
-) {
-    setup.smoothers[k].apply_zero_op(setup.op(k), r, e);
-    for _ in 1..sweeps {
-        setup.smoothers[k].relax_op(setup.op(k), r, e, buf);
-    }
+    let ctx = TeamCtx::solo();
+    Chain::solo(setup, scratch, &ctx).correction(method, k, r, &mut |_| {});
+    out.copy_from_slice(scratch.e[0].as_mut_slice());
 }
 
 /// Result of a synchronous additive solve.
@@ -213,11 +102,9 @@ pub fn solve_additive_probed<P: Probe + ?Sized>(
     let nb = vecops::norm2(b);
     let mut x = vec![0.0; n];
     // All per-cycle temporaries are pre-sized here; the loop below performs
-    // no heap allocation. The fine-grid residual and correction are taken
-    // out of the workspace so they can be borrowed alongside it.
+    // no heap allocation.
     let mut scratch = Workspace::new(setup);
-    let mut r = std::mem::take(&mut scratch.res);
-    let mut corr = std::mem::take(&mut scratch.corr);
+    let (mut r, mut corr) = (vec![0.0; n], vec![0.0; n]);
     let mut history = Vec::with_capacity(t_max);
     let epoch = Instant::now();
     // One fine-grid residual per cycle: the end-of-cycle residual of the

@@ -71,7 +71,7 @@ impl<'a> VCyclePrec<'a> {
 impl Preconditioner for VCyclePrec<'_> {
     fn apply(&mut self, r: &[f64], z: &mut [f64]) {
         z.iter_mut().for_each(|v| *v = 0.0);
-        self.scratch.r[0].copy_from_slice(r);
+        self.scratch.r[0].as_mut_slice().copy_from_slice(r);
         mult_vcycle(self.setup, z, &mut self.scratch);
     }
 }

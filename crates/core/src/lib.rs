@@ -1,12 +1,16 @@
 //! Asynchronous multigrid methods — a Rust reproduction of
 //! Wolfson-Pou & Chow, *Asynchronous Multigrid Methods*, IPDPS 2019.
 //!
-//! The crate offers four layers:
+//! The crate offers these layers:
 //!
 //! * [`setup`] — [`setup::MgSetup`] bundles an AMG hierarchy (from
 //!   `asyncmg-amg`) with smoothed interpolants and per-level smoothers,
+//! * the multigrid chain (restrict → level-`k` correction → prolong) and
+//!   the multiplicative V-cycle, each written once over a thread team
+//!   (`chain.rs`); every solver below except the batched driver runs them,
+//!   the sequential ones as a team of one,
 //! * sequential solvers — [`mult::solve_mult_probed`] (the classical
-//!   V(1,1)-cycle, Algorithm 1), [`additive::solve_additive_probed`] (BPX,
+//!   V-cycle, Algorithm 1), [`additive::solve_additive_probed`] (BPX,
 //!   Multadd, AFACx, Section II) and the batched multi-RHS driver
 //!   [`batch::solve_mult_batch`], all cycling allocation-free out of
 //!   pre-sized workspaces,
@@ -56,6 +60,7 @@
 pub mod additive;
 pub mod asynchronous;
 pub mod batch;
+mod chain;
 pub mod error;
 pub mod krylov;
 pub mod models;

@@ -1,18 +1,23 @@
-//! The classical multiplicative V(1,1)-cycle (Algorithm 1, "Mult").
+//! The classical multiplicative V-cycle (Algorithm 1, "Mult"), run
+//! sequentially: the cycle in `chain.rs` as a team of one.
 
 use crate::additive::SolveResult;
-use crate::setup::{CoarseSolve, MgSetup};
+use crate::chain::Chain;
+use crate::setup::MgSetup;
 use crate::workspace::Workspace;
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
+use asyncmg_threads::TeamCtx;
 use std::time::Instant;
 
-/// One multiplicative V(1,1)-cycle: updates `x` in place given the current
-/// fine-grid residual in `scratch.r[0]`. Allocation-free: every vector it
-/// touches lives in the pre-sized [`Workspace`].
+/// One multiplicative V(s₁,s₂)-cycle (`MgOptions::{n_pre, n_post}`):
+/// updates `x` in place given the current fine-grid residual in
+/// `scratch.r[0]`. Allocation-free: every vector it touches lives in the
+/// pre-sized [`Workspace`].
 pub fn mult_vcycle(setup: &MgSetup, x: &mut [f64], scratch: &mut Workspace) {
-    subcycle(setup, 0, scratch);
-    vecops::axpy(1.0, &scratch.e[0], x);
+    let ctx = TeamCtx::solo();
+    Chain::solo(setup, scratch, &ctx).vcycle(0);
+    vecops::axpy(1.0, scratch.e[0].as_mut_slice(), x);
 }
 
 /// The coarse-grid half of a multiplicative cycle, for callers that own the
@@ -29,67 +34,14 @@ pub fn coarse_correction(
     if setup.n_levels() < 2 {
         return false;
     }
-    setup.r(0).spmv(r_fine, &mut scratch.r[1]);
-    subcycle(setup, 1, scratch);
-    setup.p(0).spmv(&scratch.e[1], c_fine);
+    setup.r(0).spmv(r_fine, scratch.r[1].as_mut_slice());
+    let ctx = TeamCtx::solo();
+    Chain::solo(setup, scratch, &ctx).vcycle(1);
+    setup.p(0).spmv(scratch.e[1].as_mut_slice(), c_fine);
     true
 }
 
-/// The V-cycle over levels `top..`: consumes the residual in
-/// `scratch.r[top]` and leaves the correction in `scratch.e[top]`.
-/// `mult_vcycle` is `subcycle(0)` plus the fine-grid update.
-fn subcycle(setup: &MgSetup, top: usize, scratch: &mut Workspace) {
-    let ell = setup.n_levels() - 1;
-    // Downward sweep: pre-smooth and restrict.
-    for k in top..ell {
-        let (r_head, r_tail) = scratch.r.split_at_mut(k + 1);
-        let rk = &r_head[k];
-        let ek = &mut scratch.e[k];
-        let buf = &mut scratch.buf[k];
-        // Pre-smoothing from zero initial guess: e_k = M_k⁻¹ r_k
-        // (plus any extra sweeps for a V(s₁,s₂)-cycle).
-        setup.smoothers[k].apply_zero_op(setup.op(k), rk, ek);
-        for _ in 1..setup.opts.n_pre {
-            setup.smoothers[k].relax_op(setup.op(k), rk, ek, buf);
-        }
-        // r_{k+1} = Rᵀ (r_k − A_k e_k).
-        setup.op(k).spmv(ek, buf);
-        for i in 0..buf.len() {
-            buf[i] = rk[i] - buf[i];
-        }
-        setup.r(k).spmv(buf, &mut r_tail[0]);
-    }
-    // Coarsest solve: e_ℓ = A_ℓ⁻¹ r_ℓ.
-    match (setup.opts.coarse, &setup.hierarchy.coarse_lu) {
-        (CoarseSolve::Exact, Some(lu)) => lu.solve(&scratch.r[ell], &mut scratch.e[ell]),
-        _ => {
-            let sweeps = match setup.opts.coarse {
-                CoarseSolve::Smooth { sweeps } => sweeps,
-                CoarseSolve::Exact => 2,
-            };
-            setup.smoothers[ell].apply_zero_op(setup.op(ell), &scratch.r[ell], &mut scratch.e[ell]);
-            for _ in 1..sweeps {
-                let (r, e, buf) = (&scratch.r[ell], &mut scratch.e[ell], &mut scratch.buf[ell]);
-                setup.smoothers[ell].relax_op(setup.op(ell), r, e, buf);
-            }
-        }
-    }
-    // Upward sweep: prolongate and post-smooth.
-    for k in (top..ell).rev() {
-        let (e_head, e_tail) = scratch.e.split_at_mut(k + 1);
-        let ek = &mut e_head[k];
-        setup.p(k).spmv(&e_tail[0], &mut scratch.buf[k]);
-        for i in 0..ek.len() {
-            ek[i] += scratch.buf[k][i];
-        }
-        // Post-smoothing: e_k ← e_k + M_k⁻¹ (r_k − A_k e_k).
-        for _ in 0..setup.opts.n_post.max(1) {
-            setup.smoothers[k].relax_op(setup.op(k), &scratch.r[k], ek, &mut scratch.buf[k]);
-        }
-    }
-}
-
-/// Runs up to `t_max` multiplicative V(1,1)-cycles from `x = 0`, recording
+/// Runs up to `t_max` multiplicative V-cycles from `x = 0`, recording
 /// the relative residual after each cycle,
 /// with tolerance-based early stopping and telemetry: each
 /// cycle reports one correction event (the whole V-cycle, attributed to
@@ -113,11 +65,11 @@ pub fn solve_mult_probed<P: Probe + ?Sized>(
     // One fine-grid residual per cycle: the end-of-cycle residual the
     // tolerance check needs is the next cycle's input, so it is computed
     // straight into `scratch.r[0]` (which the finished cycle no longer reads).
-    setup.op(0).residual(b, &x, &mut scratch.r[0]);
+    setup.op(0).residual(b, &x, scratch.r[0].as_mut_slice());
     for cycle in 0..t_max {
         mult_vcycle(setup, &mut x, &mut scratch);
-        setup.op(0).residual(b, &x, &mut scratch.r[0]);
-        let rn = vecops::norm2(&scratch.r[0]);
+        setup.op(0).residual(b, &x, scratch.r[0].as_mut_slice());
+        let rn = vecops::norm2(scratch.r[0].as_mut_slice());
         let rel = if nb > 0.0 { rn / nb } else { rn };
         history.push(rel);
         if probe.enabled() {
@@ -256,7 +208,7 @@ mod tests {
             let mut scratch = Workspace::new(&s);
             let mut res = vec![0.0; s.n()];
             for _ in 0..12 {
-                s.op(0).residual(&b, &x, &mut scratch.r[0]);
+                s.op(0).residual(&b, &x, scratch.r[0].as_mut_slice());
                 mult_vcycle(&s, &mut x, &mut scratch);
                 s.op(0).residual(&b, &x, &mut res);
                 history.push(vecops::norm2(&res) / nb);

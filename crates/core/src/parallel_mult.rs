@@ -4,43 +4,18 @@
 //! partitioning and a global barrier after each operation — the maximally
 //! synchronous baseline of the paper's Table I and Figure 6. On every grid
 //! of every cycle the full thread set synchronises several times, which is
-//! exactly the cost asynchronous Multadd avoids.
+//! exactly the cost asynchronous Multadd avoids. The cycle itself is the
+//! V-cycle in `chain.rs`, run by one team of all threads.
 
 use crate::asynchronous::{AsyncResult, SolveOutcome};
-use crate::setup::{CoarseSolve, MgSetup};
-use asyncmg_smoothers::LevelSmoother;
+use crate::chain::Chain;
+use crate::setup::MgSetup;
+use crate::workspace::Workspace;
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
 use asyncmg_threads::{run_teams_sched, ExecEnv, OsSched, RacyVec};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Per-level thread-shared work vectors of the threaded multiplicative
-/// cycle, allocated once per solve before the team starts.
-struct SharedWorkspace {
-    /// Residual per level.
-    r: Vec<RacyVec>,
-    /// Correction per level.
-    e: Vec<RacyVec>,
-    /// General-purpose buffer per level.
-    buf: Vec<RacyVec>,
-    /// Sweep-start snapshot per level (post-smoothing reads it).
-    old: Vec<RacyVec>,
-    /// The fine-grid iterate.
-    x: RacyVec,
-}
-
-impl SharedWorkspace {
-    fn new(sizes: &[usize]) -> Self {
-        SharedWorkspace {
-            r: sizes.iter().map(|&m| RacyVec::zeros(m)).collect(),
-            e: sizes.iter().map(|&m| RacyVec::zeros(m)).collect(),
-            buf: sizes.iter().map(|&m| RacyVec::zeros(m)).collect(),
-            old: sizes.iter().map(|&m| RacyVec::zeros(m)).collect(),
-            x: RacyVec::zeros(sizes[0]),
-        }
-    }
-}
 
 /// Threaded multiplicative V-cycles with tolerance-based early stopping
 /// and telemetry — the one public entry point of the family. Every cycle
@@ -51,11 +26,13 @@ impl SharedWorkspace {
 /// `probe`, and stops all threads once it is below `tol`. A final residual
 /// pass after cycle `t_max` keeps "checked after every cycle" true.
 ///
-/// Every per-level loop is one call of a chunk-local range kernel
-/// ([`Kernel::residual_rows`](asyncmg_sparse::Kernel::residual_rows) and
-/// friends) on the rank's chunk, so BSR levels run the shared-x block-row
-/// kernel and stencil levels the across-row plan, exactly as the sequential
-/// cycle does.
+/// The cycle is [`mult_vcycle`](crate::mult_vcycle)'s, with the same
+/// `MgOptions::{n_pre, n_post, coarse}`; the block-GS smoothers are blocked
+/// by the thread count. Every per-level loop is one call of a chunk-local
+/// range kernel ([`Kernel::residual_rows`](asyncmg_sparse::Kernel::residual_rows)
+/// and friends) on the rank's chunk, so BSR levels run the shared-x
+/// block-row kernel and stencil levels the across-row plan, exactly as the
+/// sequential cycle does.
 ///
 /// The cycle is fully barriered, so any `env.sched` produces the same bits;
 /// a [`VirtualSched`](asyncmg_threads::VirtualSched) makes the run
@@ -79,15 +56,9 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
     let os_sched = OsSched::for_teams(&[n_threads]);
     let sched = env.sched.unwrap_or(&os_sched);
     let n = setup.n();
-    let ell = setup.n_levels() - 1;
-    let sizes = setup.hierarchy.level_sizes();
-    let ws = SharedWorkspace::new(&sizes);
-    let SharedWorkspace { r, e, buf, old, x } = &ws;
-    // Cached per-level row partitions: `parts[k][rank]` is the rank's
-    // contiguous chunk of level `k`, derived once on the hierarchy instead
-    // of being re-split on every operation of every cycle.
-    let parts = setup.hierarchy.partitions(n_threads);
-    let smoothers: Vec<LevelSmoother> = setup.with_nblocks(n_threads);
+    let ws = Workspace::new(setup);
+    let x = RacyVec::zeros(n);
+    let smoothers = setup.smoothers_for(0..setup.n_levels(), n_threads);
     let nb = vecops::norm2(b);
     let nb_safe = if nb > 0.0 { nb } else { 1.0 };
     let check = tol.is_some() || probe.enabled();
@@ -97,6 +68,8 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
     let start = Instant::now();
     let epoch = Instant::now();
     run_teams_sched(&[n_threads], sched, |ctx| {
+        let chain = Chain::new(setup, &smoothers, 0, &ws, &ctx);
+        let rows = ctx.chunk(n);
         // `cycle` counts finished cycles. Every thread takes the same
         // branches: `check`, `t_max` and `cycle` are the same on all of them.
         let mut cycle = 0;
@@ -109,14 +82,13 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
             // r_0 = b − A x.
             {
                 let xs = unsafe { x.as_slice() };
-                let chunk = parts[0][ctx.rank].clone();
-                let dst = unsafe { r[0].slice_mut(chunk.clone()) };
-                setup.op(0).residual_rows(chunk, b, xs, dst);
+                let dst = unsafe { ws.r[0].slice_mut(rows.clone()) };
+                setup.op(0).residual_rows(rows.clone(), b, xs, dst);
             }
             ctx.barrier();
             if checking {
                 if ctx.is_team_master() {
-                    let r0 = unsafe { r[0].as_slice() };
+                    let r0 = unsafe { ws.r[0].as_slice() };
                     let rel = vecops::norm2(r0) / nb_safe;
                     if probe.enabled() {
                         let t_ns = epoch.elapsed().as_nanos() as u64;
@@ -132,86 +104,12 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
                     break;
                 }
             }
-            // Downward sweep.
-            for k in 0..ell {
-                let a_k = setup.op(k);
-                // Pre-smooth from zero: e_k = Λ r_k (rank's block).
-                {
-                    let rk = unsafe { r[k].as_slice() };
-                    let range = rank_block(&smoothers[k], ctx.rank);
-                    let dst = unsafe { e[k].slice_mut(range.clone()) };
-                    smoothers[k].apply_zero_range_op(a_k, rk, dst, range);
-                }
-                ctx.barrier();
-                // buf = r_k − A e_k.
-                {
-                    let rk = unsafe { r[k].as_slice() };
-                    let ek = unsafe { e[k].as_slice() };
-                    let chunk = parts[k][ctx.rank].clone();
-                    let dst = unsafe { buf[k].slice_mut(chunk.clone()) };
-                    a_k.residual_rows(chunk, rk, ek, dst);
-                }
-                ctx.barrier();
-                // r_{k+1} = Rᵀ buf.
-                {
-                    let src = unsafe { buf[k].as_slice() };
-                    let chunk = parts[k + 1][ctx.rank].clone();
-                    let dst = unsafe { r[k + 1].slice_mut(chunk.clone()) };
-                    setup.r(k).spmv_rows(chunk, src, dst);
-                }
-                ctx.barrier();
-            }
-            // Coarse solve by the master.
-            match (setup.opts.coarse, &setup.hierarchy.coarse_lu) {
-                (CoarseSolve::Exact, Some(lu)) => {
-                    if ctx.is_team_master() {
-                        let rl = unsafe { r[ell].as_slice() };
-                        let dst = unsafe { e[ell].slice_mut(0..sizes[ell]) };
-                        lu.solve(rl, dst);
-                    }
-                    ctx.barrier();
-                }
-                _ => {
-                    let rl = unsafe { r[ell].as_slice() };
-                    let range = rank_block(&smoothers[ell], ctx.rank);
-                    let dst = unsafe { e[ell].slice_mut(range.clone()) };
-                    smoothers[ell].apply_zero_range_op(setup.op(ell), rl, dst, range);
-                    ctx.barrier();
-                }
-            }
-            // Upward sweep.
-            for k in (0..ell).rev() {
-                let a_k = setup.op(k);
-                // e_k += P e_{k+1} and snapshot into old.
-                {
-                    let src = unsafe { e[k + 1].as_slice() };
-                    let p = setup.p(k);
-                    let chunk = parts[k][ctx.rank].clone();
-                    let dst = unsafe { e[k].slice_mut(chunk.clone()) };
-                    let snap = unsafe { old[k].slice_mut(chunk.clone()) };
-                    for (off, i) in chunk.enumerate() {
-                        dst[off] += p.row_dot(i, src);
-                        snap[off] = dst[off];
-                    }
-                }
-                ctx.barrier();
-                // Post-smooth: e_k ← relax(A_k, r_k, e_k) against the
-                // sweep-start snapshot.
-                {
-                    let rk = unsafe { r[k].as_slice() };
-                    let snap = unsafe { old[k].as_slice() };
-                    let range = rank_block(&smoothers[k], ctx.rank);
-                    let dst = unsafe { e[k].slice_mut(range.clone()) };
-                    smoothers[k].relax_range_op(a_k, rk, dst, snap, range);
-                }
-                ctx.barrier();
-            }
+            chain.vcycle(0);
             // x += e_0.
             {
-                let e0 = unsafe { e[0].as_slice() };
-                let chunk = parts[0][ctx.rank].clone();
-                let dst = unsafe { x.slice_mut(chunk.clone()) };
-                for (off, i) in chunk.enumerate() {
+                let e0 = unsafe { ws.e[0].as_slice() };
+                let dst = unsafe { x.slice_mut(rows.clone()) };
+                for (off, i) in rows.clone().enumerate() {
                     dst[off] += e0[i];
                 }
             }
@@ -241,16 +139,6 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
         outcome: SolveOutcome::classify(relres, tol, &[]),
         faults: Vec::new(),
         stopped_on_tolerance: stop.load(Ordering::Acquire),
-    }
-}
-
-/// The rank's smoother block, or an empty range when the level has fewer
-/// blocks than the team has threads.
-fn rank_block(sm: &LevelSmoother, rank: usize) -> std::ops::Range<usize> {
-    if rank < sm.blocks().len() {
-        sm.blocks()[rank].clone()
-    } else {
-        0..0
     }
 }
 

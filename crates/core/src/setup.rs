@@ -43,10 +43,11 @@ pub struct MgOptions {
     pub afacx_s1: usize,
     /// AFACx inner sweeps `s₂` (coarse part).
     pub afacx_s2: usize,
-    /// Pre-smoothing sweeps of the multiplicative cycle (the paper uses
-    /// V(1,1)).
+    /// Pre-smoothing sweeps (at least one) of the multiplicative cycle,
+    /// sequential or threaded (the paper uses V(1,1)).
     pub n_pre: usize,
-    /// Post-smoothing sweeps of the multiplicative cycle.
+    /// Post-smoothing sweeps (at least one) of the multiplicative cycle,
+    /// sequential or threaded.
     pub n_post: usize,
 }
 
@@ -118,11 +119,14 @@ impl MgSetup {
         self.p_bar.get().is_some()
     }
 
-    /// Rebuilds the per-level smoothers with a different block count (used
+    /// Rebuilds the smoothers of `levels` with a different block count (used
     /// by the threaded solvers, where the block count is the team size).
-    pub fn with_nblocks(&self, nblocks: usize) -> Vec<LevelSmoother> {
-        self.hierarchy
-            .levels
+    pub(crate) fn smoothers_for(
+        &self,
+        levels: std::ops::Range<usize>,
+        nblocks: usize,
+    ) -> Vec<LevelSmoother> {
+        self.hierarchy.levels[levels]
             .iter()
             .map(|l| LevelSmoother::with_diag(&l.a, &l.diag, self.opts.smoother, nblocks))
             .collect()

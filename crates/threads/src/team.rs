@@ -45,6 +45,14 @@ impl<'a> TeamCtx<'a> {
         TeamCtx { team_id, rank, team_size, global_rank, n_threads, sched }
     }
 
+    /// The context of a team of one on the calling thread: rank 0 of team
+    /// 0 among 1 thread, whose barriers, scheduling points and locks are
+    /// no-ops. Team-parallel code called with it runs sequentially, with
+    /// every chunk the whole range — the one body serves both callers.
+    pub fn solo() -> TeamCtx<'static> {
+        TeamCtx::new(0, 0, 1, 0, 1, &Solo)
+    }
+
     /// Synchronises the threads of this team (the blue `Sync()` of Fig. 3).
     #[inline]
     pub fn barrier(&self) {
@@ -104,6 +112,20 @@ impl<'a> TeamCtx<'a> {
     pub fn is_global_master(&self) -> bool {
         self.global_rank == 0
     }
+}
+
+/// The scheduler of [`TeamCtx::solo`]: one worker, nothing to wait for.
+struct Solo;
+
+impl Sched for Solo {
+    fn launch(&self, _team_sizes: &[usize]) {}
+    fn worker_start(&self, _worker: usize) {}
+    fn worker_exit(&self, _worker: usize, _panicked: bool) {}
+    fn team_barrier(&self, _worker: usize, _team: usize) {}
+    fn global_barrier(&self, _worker: usize) {}
+    fn point(&self, _worker: usize, _kind: SchedPoint) {}
+    fn lock(&self, _worker: usize, _lock: &SpinLock) {}
+    fn unlock(&self, _worker: usize, _lock: &SpinLock) {}
 }
 
 /// Runs `f` on `Σ team_sizes` threads grouped into teams, then joins them.
@@ -181,6 +203,19 @@ mod tests {
                 ctx.barrier();
             }
         });
+    }
+
+    #[test]
+    fn solo_context_is_a_whole_team_of_one() {
+        let ctx = TeamCtx::solo();
+        assert_eq!((ctx.team_size, ctx.n_threads), (1, 1));
+        assert!(ctx.is_team_master() && ctx.is_global_master());
+        assert_eq!(ctx.chunk(37), 0..37);
+        let lock = SpinLock::new();
+        ctx.lock(&lock);
+        ctx.barrier();
+        ctx.sched_point(SchedPoint::Yield);
+        ctx.unlock(&lock);
     }
 
     #[test]

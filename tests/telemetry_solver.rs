@@ -78,38 +78,40 @@ fn tolerance_respects_t_max_cap() {
     assert!(report.grid_corrections.iter().all(|&c| c <= 5), "{:?}", report.grid_corrections);
 }
 
-/// The builder's async path and the direct entry point produce results of
-/// the same quality on the same problem, and — being the same solver —
-/// agree bit for bit under equal scheduler seeds.
+/// The builder's async path and the direct entry point run the same
+/// solver: under the OS scheduler both spend the same budget, and under
+/// equal scheduler seeds they agree bit for bit and reach the same accuracy.
 #[test]
 fn solver_matches_direct_async_entry_point() {
     let setup = setup_7pt(10);
     let b = random_rhs(setup.n(), 3);
     let solver = Solver::new(&setup).method(Method::Multadd).threads(4).t_max(30);
 
-    let report = solver.run(&b);
-
     let mut opts = AsyncOptions::default();
     opts.t_max = 30;
     opts.n_threads = 4;
-    let direct = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
 
-    // Asynchronous runs are not bitwise reproducible; both must converge to
-    // the same order of magnitude.
-    assert!(report.relres < 1e-3 && direct.relres < 1e-3);
-    let ratio = (report.relres / direct.relres).max(direct.relres / report.relres);
-    assert!(ratio < 1e3, "solver {} vs direct {}", report.relres, direct.relres);
+    // Where 30 corrections per grid land is the OS schedule's to decide:
+    // that half asserts only what no schedule changes.
+    let report = solver.run(&b);
+    let direct = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
     assert_eq!(report.grid_corrections, vec![30; setup.n_levels()]);
     assert_eq!(report.grid_corrections, direct.grid_corrections);
+    assert!(report.x.iter().chain(&direct.x).all(|v| v.is_finite()));
 
-    let sched = VirtualSched::new(1);
-    let seeded = solver.sched(&sched).run(&b);
-    let sched = VirtualSched::new(1);
-    let env = ExecEnv { sched: Some(&sched), ..Default::default() };
-    let direct = solve_async(&setup, &b, &opts, &NoopProbe, env);
-    assert_eq!(seeded.x, direct.x);
-    assert_eq!(seeded.grid_corrections, direct.grid_corrections);
-    assert!(seeded.relres < 1e-3, "seeded relres {}", seeded.relres);
+    for seed in 0..4 {
+        let sched = VirtualSched::new(seed);
+        let seeded = solver.sched(&sched).run(&b);
+        let sched = VirtualSched::new(seed);
+        let env = ExecEnv { sched: Some(&sched), ..Default::default() };
+        let direct = solve_async(&setup, &b, &opts, &NoopProbe, env);
+        assert_eq!(seeded.x, direct.x, "seed {seed}");
+        assert_eq!(seeded.grid_corrections, direct.grid_corrections, "seed {seed}");
+        // Both converge to the same order of magnitude.
+        assert!(seeded.relres < 1e-3 && direct.relres < 1e-3, "seed {seed}: {}", seeded.relres);
+        let ratio = (seeded.relres / direct.relres).max(direct.relres / seeded.relres);
+        assert!(ratio < 1e3, "seed {seed}: solver {} vs direct {}", seeded.relres, direct.relres);
+    }
 }
 
 /// Sequential paths through the builder agree exactly with the direct
