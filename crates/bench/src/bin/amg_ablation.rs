@@ -44,7 +44,7 @@ fn main() {
                 levels,
                 ocx,
                 gcx,
-                res.final_relres(),
+                res.relres,
                 setup_time
             );
         }

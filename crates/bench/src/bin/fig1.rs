@@ -39,8 +39,8 @@ fn main() {
         let setup = build_setup(TestSet::TwentySevenPt, n, 1, SmootherKind::WJacobi { omega: 0.9 });
         let b = random_rhs(setup.n(), 27 + n as u64);
         let sync = solve_mult_probed(&setup, &b, cycles, None, &NoopProbe);
-        println!("Mult,sync,{n},{},{:e}", setup.n(), sync.final_relres());
-        curves.entry("Mult (sync)".into()).or_default().push((n as f64, sync.final_relres()));
+        println!("Mult,sync,{n},{},{:e}", setup.n(), sync.relres);
+        curves.entry("Mult (sync)".into()).or_default().push((n as f64, sync.relres));
         for method in [AdditiveMethod::Afacx, AdditiveMethod::Multadd] {
             for &alpha in &alphas {
                 let mut opts = ModelOptions::default();

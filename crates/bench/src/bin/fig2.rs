@@ -35,7 +35,7 @@ fn main() {
         let setup = build_setup(TestSet::TwentySevenPt, n, 1, SmootherKind::WJacobi { omega: 0.9 });
         let b = random_rhs(setup.n(), 90 + n as u64);
         let sync = solve_mult_probed(&setup, &b, cycles, None, &NoopProbe);
-        println!("Mult,sync,0,{n},{},{:e}", setup.n(), sync.final_relres());
+        println!("Mult,sync,0,{n},{},{:e}", setup.n(), sync.relres);
         for (version, model) in
             [("solution", ModelKind::FullAsyncSolution), ("residual", ModelKind::FullAsyncResidual)]
         {

@@ -17,6 +17,7 @@
 
 use crate::chain::Chain;
 use crate::setup::MgSetup;
+use crate::solver::SolveReport;
 use crate::workspace::Workspace;
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
@@ -68,28 +69,13 @@ pub fn grid_correction(
     out.copy_from_slice(scratch.e[0].as_mut_slice());
 }
 
-/// Result of a synchronous additive solve.
-#[derive(Clone, Debug)]
-pub struct SolveResult {
-    /// The final approximation.
-    pub x: Vec<f64>,
-    /// Relative residual 2-norm after each cycle.
-    pub history: Vec<f64>,
-}
-
-impl SolveResult {
-    /// Final relative residual.
-    pub fn final_relres(&self) -> f64 {
-        *self.history.last().unwrap_or(&1.0)
-    }
-}
-
 /// Runs up to `t_max` synchronous additive V-cycles starting from `x = 0`:
 /// each cycle starts from `r = b − A x`, every grid contributes its
 /// correction from the *same* residual, and the corrections are summed.
 /// Each cycle reports one correction event per grid and one residual sample
 /// to `probe`, and the run ends as soon as the relative residual drops below
-/// `tol` (when given).
+/// `tol` (when given). Every grid reports the cycle count as its
+/// corrections.
 pub fn solve_additive_probed<P: Probe + ?Sized>(
     setup: &MgSetup,
     method: AdditiveMethod,
@@ -97,7 +83,8 @@ pub fn solve_additive_probed<P: Probe + ?Sized>(
     t_max: usize,
     tol: Option<f64>,
     probe: &P,
-) -> SolveResult {
+) -> SolveReport {
+    let epoch = Instant::now();
     let n = setup.n();
     let nb = vecops::norm2(b);
     let mut x = vec![0.0; n];
@@ -106,7 +93,6 @@ pub fn solve_additive_probed<P: Probe + ?Sized>(
     let mut scratch = Workspace::new(setup);
     let (mut r, mut corr) = (vec![0.0; n], vec![0.0; n]);
     let mut history = Vec::with_capacity(t_max);
-    let epoch = Instant::now();
     // One fine-grid residual per cycle: the end-of-cycle residual of the
     // tolerance check is the next cycle's input.
     setup.op(0).residual(b, &x, &mut r);
@@ -129,14 +115,14 @@ pub fn solve_additive_probed<P: Probe + ?Sized>(
             break;
         }
     }
-    SolveResult { x, history }
+    SolveReport::sequential(x, history, setup.n_levels(), tol, epoch.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::setup::MgOptions;
-    use crate::solver::{Method, SolveReport, Solver};
+    use crate::solver::{Method, Solver};
     use asyncmg_amg::{build_hierarchy, AmgOptions};
     use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_7pt};
     use asyncmg_smoothers::SmootherKind;

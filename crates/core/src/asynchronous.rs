@@ -39,9 +39,10 @@
 //! target at a round end. That is only a *candidate* (the view is a racy
 //! snapshot): after the join [`solve_async`] takes the exact residual of the
 //! quiescent iterate and either reports the stop or launches the teams
-//! again from it. So `stopped_on_tolerance` implies `relres < tol` under any
-//! schedule, and a seeded [`VirtualSched`](asyncmg_threads::VirtualSched)
-//! replays tolerance-stopped runs bit for bit.
+//! again from it. So the report's `stopped_on_tolerance` implies
+//! `relres < tol` under any schedule, and a seeded
+//! [`VirtualSched`](asyncmg_threads::VirtualSched) replays tolerance-stopped
+//! runs bit for bit.
 
 use crate::additive::AdditiveMethod;
 use asyncmg_telemetry::{FaultKind, FaultRecord};
@@ -302,30 +303,4 @@ impl AsyncOptions {
         }
         self.recovery.validate()
     }
-}
-
-/// Outcome of a threaded solve.
-#[derive(Clone, Debug)]
-pub struct AsyncResult {
-    /// The final approximation.
-    pub x: Vec<f64>,
-    /// Final relative residual 2-norm (recomputed exactly after the run).
-    pub relres: f64,
-    /// Corrections performed by each grid.
-    pub grid_corrections: Vec<usize>,
-    /// Mean corrections per grid (the paper's "Corrects" column).
-    pub corrects_mean: f64,
-    /// Wall-clock solve time.
-    pub elapsed: Duration,
-    /// How the solve ended (structured, never by hanging).
-    pub outcome: SolveOutcome,
-    /// Injected faults and recovery actions, in time order (empty for
-    /// fault-free solves).
-    pub faults: Vec<FaultRecord>,
-    /// Whether the solve stopped because the tolerance was met: an
-    /// asynchronous run sets it only once the exact residual of the
-    /// quiescent iterate confirmed a team's candidate stop (so it implies
-    /// `relres < tol`), a synchronous run at the cycle-end check that saw
-    /// the residual below target.
-    pub stopped_on_tolerance: bool,
 }

@@ -1,8 +1,9 @@
 //! The launch/confirm loop of [`solve_async`] and its watchdog.
 
 use super::worker::{team_worker, TeamData};
-use super::{AsyncOptions, AsyncResult, SolveOutcome, StopCriterion, DIVERGED};
+use super::{AsyncOptions, SolveOutcome, StopCriterion, DIVERGED};
 use crate::setup::MgSetup;
+use crate::solver::SolveReport;
 use asyncmg_sparse::{vecops, AtomicF64Vec};
 use asyncmg_telemetry::{FaultKind, FaultRecord, Probe};
 use asyncmg_threads::{
@@ -124,7 +125,7 @@ pub fn solve_async<P: Probe + ?Sized>(
     opts: &AsyncOptions,
     probe: &P,
     env: ExecEnv<'_>,
-) -> AsyncResult {
+) -> SolveReport {
     let n = setup.n();
     assert_eq!(b.len(), n);
     assert!(opts.n_threads > 0 && opts.t_max > 0);
@@ -251,15 +252,18 @@ pub fn solve_async<P: Probe + ?Sized>(
     let corrects_mean =
         grid_corrections.iter().sum::<usize>() as f64 / grid_corrections.len() as f64;
     let faults = shared.faults.into_inner().unwrap();
-    AsyncResult {
+    SolveReport {
         x,
         relres,
+        converged: criterion_tol.is_none_or(|t| relres < t),
+        stopped_on_tolerance: shared.tol_stopped.load(Ordering::Acquire),
         grid_corrections,
         corrects_mean,
+        history: Vec::new(),
         elapsed,
         outcome: SolveOutcome::classify(relres, criterion_tol, &faults),
         faults,
-        stopped_on_tolerance: shared.tol_stopped.load(Ordering::Acquire),
+        trace: None,
     }
 }
 

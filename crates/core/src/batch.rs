@@ -324,7 +324,7 @@ mod tests {
             let solo =
                 solve_mult_probed(&s, &b[c * n..(c + 1) * n], spec.t_max, spec.tol, &NoopProbe);
             assert_eq!(batch.cycles[c], solo.history.len(), "col {c} cycle count");
-            assert_eq!(batch.relres[c].to_bits(), solo.final_relres().to_bits(), "col {c}");
+            assert_eq!(batch.relres[c].to_bits(), solo.relres.to_bits(), "col {c}");
             for i in 0..n {
                 assert_eq!(batch.x[c * n + i].to_bits(), solo.x[i].to_bits(), "col {c} row {i}");
             }

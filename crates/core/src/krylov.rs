@@ -10,6 +10,7 @@
 use crate::additive::{grid_correction, AdditiveMethod};
 use crate::mult::mult_vcycle;
 use crate::setup::MgSetup;
+use crate::solver::SolveReport;
 use crate::workspace::Workspace;
 use asyncmg_sparse::{vecops, Csr};
 use asyncmg_telemetry::{NoopProbe, Probe};
@@ -102,26 +103,17 @@ impl Preconditioner for AdditivePrec<'_> {
     }
 }
 
-/// Outcome of a CG solve.
-#[derive(Clone, Debug)]
-pub struct CgResult {
-    /// The approximation.
-    pub x: Vec<f64>,
-    /// Relative residual per iteration (recurrence residual).
-    pub history: Vec<f64>,
-    /// Whether the tolerance was reached within the iteration budget.
-    pub converged: bool,
-}
-
 /// Preconditioned conjugate gradients for SPD `A`, from `x = 0`, until
-/// `‖r‖₂/‖b‖₂ < tol` or `max_iter` iterations.
+/// `‖r‖₂/‖b‖₂ < tol` or `max_iter` iterations. The report's `history` and
+/// `relres` are recurrence residuals, and its one `grid_corrections` entry
+/// is the iteration count.
 pub fn pcg<P: Preconditioner>(
     a: &Csr,
     b: &[f64],
     tol: f64,
     max_iter: usize,
     prec: &mut P,
-) -> CgResult {
+) -> SolveReport {
     pcg_probed(a, b, tol, max_iter, prec, &NoopProbe)
 }
 
@@ -134,7 +126,8 @@ pub fn pcg_probed<P: Preconditioner, Pr: Probe + ?Sized>(
     max_iter: usize,
     prec: &mut P,
     probe: &Pr,
-) -> CgResult {
+) -> SolveReport {
+    let epoch = Instant::now();
     let n = a.nrows();
     let nb = vecops::norm2(b).max(1e-300);
     let mut x = vec![0.0; n];
@@ -145,8 +138,6 @@ pub fn pcg_probed<P: Preconditioner, Pr: Probe + ?Sized>(
     let mut rz = vecops::dot(&r, &z);
     let mut ap = vec![0.0; n];
     let mut history = Vec::new();
-    let mut converged = false;
-    let epoch = Instant::now();
     for _ in 0..max_iter {
         a.spmv(&p, &mut ap);
         let pap = vecops::dot(&p, &ap);
@@ -164,7 +155,6 @@ pub fn pcg_probed<P: Preconditioner, Pr: Probe + ?Sized>(
             probe.residual_sample(epoch.elapsed().as_nanos() as u64, rel);
         }
         if rel < tol {
-            converged = true;
             break;
         }
         prec.apply(&r, &mut z);
@@ -175,7 +165,7 @@ pub fn pcg_probed<P: Preconditioner, Pr: Probe + ?Sized>(
             p[i] = z[i] + beta * p[i];
         }
     }
-    CgResult { x, history, converged }
+    SolveReport::sequential(x, history, 1, Some(tol), epoch.elapsed())
 }
 
 #[cfg(test)]

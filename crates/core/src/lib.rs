@@ -24,7 +24,8 @@
 //!   scheduler / clock / fault plan it runs under as one [`ExecEnv`],
 //! * [`solver`] — the unified [`Solver`] builder that dispatches to any of
 //!   the above, with tolerance-based stopping and telemetry
-//!   (`asyncmg-telemetry`) on every backend.
+//!   (`asyncmg-telemetry`) on every backend. Every solver above except the
+//!   batched driver and the simulations reports one [`SolveReport`].
 //!
 //! # Quick start
 //!
@@ -71,10 +72,9 @@ pub mod setup;
 pub mod solver;
 pub mod workspace;
 
-pub use additive::{grid_correction, solve_additive_probed, AdditiveMethod, SolveResult};
+pub use additive::{grid_correction, solve_additive_probed, AdditiveMethod};
 pub use asynchronous::{
-    solve_async, AsyncOptions, AsyncResult, RecoveryOptions, ResComp, SolveOutcome, StopCriterion,
-    WriteMode,
+    solve_async, AsyncOptions, RecoveryOptions, ResComp, SolveOutcome, StopCriterion, WriteMode,
 };
 pub use batch::{
     mult_vcycle_block, solve_mult_batch, solve_mult_batch_with, BatchResult, BatchSpec,
@@ -82,14 +82,14 @@ pub use batch::{
 };
 pub use error::Error;
 pub use krylov::{
-    pcg, pcg_probed, AdditivePrec, CgResult, IdentityPrec, JacobiPrec, Preconditioner, VCyclePrec,
+    pcg, pcg_probed, AdditivePrec, IdentityPrec, JacobiPrec, Preconditioner, VCyclePrec,
 };
 pub use models::{simulate, simulate_mean, ModelKind, ModelOptions, ModelResult};
 pub use mult::{coarse_correction, mult_vcycle, solve_mult_probed};
 pub use parallel_mult::solve_mult_threaded;
 pub use resilience::{
     AttemptReport, CheckpointStats, EscalationReason, RetryPolicy, Rung, SessionError, SessionGoal,
-    SessionReport, ShardAttempt, ShardAttemptOutcome, ShardRungDriver,
+    SessionReport, ShardAttempt, ShardRungDriver,
 };
 pub use setup::{CoarseSolve, MgOptions, MgSetup};
 pub use solver::{Method, SolveError, SolveReport, Solver, SolverConfig};

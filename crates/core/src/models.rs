@@ -284,10 +284,10 @@ mod tests {
         );
         assert_eq!(sim.instants, 10);
         assert!(
-            (sim.final_relres - sync.final_relres()).abs() < 1e-10 * sync.final_relres().max(1e-30),
+            (sim.final_relres - sync.relres).abs() < 1e-10 * sync.relres.max(1e-30),
             "sim {} vs sync {}",
             sim.final_relres,
-            sync.final_relres()
+            sync.relres
         );
     }
 

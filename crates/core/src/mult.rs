@@ -1,9 +1,9 @@
 //! The classical multiplicative V-cycle (Algorithm 1, "Mult"), run
 //! sequentially: the cycle in `chain.rs` as a team of one.
 
-use crate::additive::SolveResult;
 use crate::chain::Chain;
 use crate::setup::MgSetup;
+use crate::solver::SolveReport;
 use crate::workspace::Workspace;
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
@@ -45,15 +45,17 @@ pub fn coarse_correction(
 /// the relative residual after each cycle,
 /// with tolerance-based early stopping and telemetry: each
 /// cycle reports one correction event (the whole V-cycle, attributed to
-/// grid 0) and one residual sample to `probe`, and the run ends as soon as
-/// the relative residual drops below `tol` (when given).
+/// grid 0, so the report has one `grid_corrections` entry) and one residual
+/// sample to `probe`, and the run ends as soon as the relative residual
+/// drops below `tol` (when given).
 pub fn solve_mult_probed<P: Probe + ?Sized>(
     setup: &MgSetup,
     b: &[f64],
     t_max: usize,
     tol: Option<f64>,
     probe: &P,
-) -> SolveResult {
+) -> SolveReport {
+    let epoch = Instant::now();
     let n = setup.n();
     let nb = vecops::norm2(b);
     let mut x = vec![0.0; n];
@@ -61,7 +63,6 @@ pub fn solve_mult_probed<P: Probe + ?Sized>(
     // no heap allocation.
     let mut scratch = Workspace::new(setup);
     let mut history = Vec::with_capacity(t_max);
-    let epoch = Instant::now();
     // One fine-grid residual per cycle: the end-of-cycle residual the
     // tolerance check needs is the next cycle's input, so it is computed
     // straight into `scratch.r[0]` (which the finished cycle no longer reads).
@@ -81,14 +82,14 @@ pub fn solve_mult_probed<P: Probe + ?Sized>(
             break;
         }
     }
-    SolveResult { x, history }
+    SolveReport::sequential(x, history, 1, tol, epoch.elapsed())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::setup::MgOptions;
-    use crate::solver::{Method, SolveReport, Solver};
+    use crate::solver::{Method, Solver};
     use asyncmg_amg::{build_hierarchy, AmgOptions};
     use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_27pt, stencil::laplacian_7pt};
     use asyncmg_smoothers::SmootherKind;

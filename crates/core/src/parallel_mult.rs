@@ -7,13 +7,14 @@
 //! exactly the cost asynchronous Multadd avoids. The cycle itself is the
 //! V-cycle in `chain.rs`, run by one team of all threads.
 
-use crate::asynchronous::{AsyncResult, SolveOutcome};
+use crate::asynchronous::SolveOutcome;
 use crate::chain::Chain;
 use crate::setup::MgSetup;
+use crate::solver::SolveReport;
 use crate::workspace::Workspace;
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::Probe;
-use asyncmg_threads::{run_teams_sched, ExecEnv, OsSched, RacyVec};
+use asyncmg_threads::{run_teams_sched, ExecEnv, OsSched, RacyBuf, RacyVec};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -22,9 +23,11 @@ use std::time::Instant;
 /// starts with the team's parallel fine-grid residual `r₀ = b − A x`; when
 /// `tol` is set (or `probe` records) that same `r₀` is also the exit test of
 /// the cycle just finished: the master sums its squares in row order —
-/// `n` flops, no extra SpMV — samples the exact relative residual into
-/// `probe`, and stops all threads once it is below `tol`. A final residual
-/// pass after cycle `t_max` keeps "checked after every cycle" true.
+/// `n` flops, no extra SpMV — records the exact relative residual in the
+/// report's `history`, samples it into `probe`, and stops all threads once
+/// it is below `tol`. A final residual pass after cycle `t_max` keeps
+/// "checked after every cycle" true. Like sequential Mult, the report has
+/// one `grid_corrections` entry: the cycle count, attributed to grid 0.
 ///
 /// The cycle is [`mult_vcycle`](crate::mult_vcycle)'s, with the same
 /// `MgOptions::{n_pre, n_post, coarse}`; the block-GS smoothers are blocked
@@ -47,7 +50,7 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
     tol: Option<f64>,
     probe: &P,
     env: ExecEnv<'_>,
-) -> AsyncResult {
+) -> SolveReport {
     assert!(
         env.plan.is_none_or(|p| p.is_empty()),
         "fault injection requires the asynchronous solver (a crashed rank would deadlock the \
@@ -64,8 +67,10 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
     let check = tol.is_some() || probe.enabled();
     let stop = AtomicBool::new(false);
     let cycles_done = AtomicUsize::new(0);
+    // Slot `c − 1` holds the check after cycle `c`: the master writes it,
+    // and it is read after the join, so no lock sits on the cycle path.
+    let history = RacyBuf::filled(if check { t_max } else { 0 }, 0.0);
 
-    let start = Instant::now();
     let epoch = Instant::now();
     run_teams_sched(&[n_threads], sched, |ctx| {
         let chain = Chain::new(setup, &smoothers, 0, &ws, &ctx);
@@ -90,6 +95,9 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
                 if ctx.is_team_master() {
                     let r0 = unsafe { ws.r[0].as_slice() };
                     let rel = vecops::norm2(r0) / nb_safe;
+                    // SAFETY: only the master touches `history` before the
+                    // join, and `cycle − 1 < t_max` (`check` sized it).
+                    unsafe { history.set(cycle - 1, rel) };
                     if probe.enabled() {
                         let t_ns = epoch.elapsed().as_nanos() as u64;
                         probe.correction(ctx.global_rank, 0, cycle - 1, t_ns, rel);
@@ -120,25 +128,30 @@ pub fn solve_mult_threaded<P: Probe + ?Sized>(
             }
         }
     });
-    let elapsed = start.elapsed();
+    let elapsed = epoch.elapsed();
 
     let xv = unsafe { x.as_slice().to_vec() };
     let mut res = vec![0.0; n];
     setup.op(0).residual(b, &xv, &mut res);
     let relres = if nb > 0.0 { vecops::norm2(&res) / nb } else { vecops::norm2(&res) };
     let cycles = cycles_done.load(Ordering::Acquire);
+    let mut history = history.into_vec();
+    history.truncate(cycles);
     // The cycle is fully barriered, so the stop flag is only ever raised by
     // the master's exact residual check — it doubles as the "tolerance
     // actually observed" signal.
-    AsyncResult {
+    SolveReport {
         x: xv,
         relres,
-        grid_corrections: vec![cycles; setup.n_levels()],
+        converged: tol.is_none_or(|t| relres < t),
+        stopped_on_tolerance: stop.load(Ordering::Acquire),
+        grid_corrections: vec![cycles],
         corrects_mean: cycles as f64,
+        history,
         elapsed,
         outcome: SolveOutcome::classify(relres, tol, &[]),
         faults: Vec::new(),
-        stopped_on_tolerance: stop.load(Ordering::Acquire),
+        trace: None,
     }
 }
 
@@ -199,6 +212,7 @@ mod tests {
                 assert_eq!(par.grid_corrections[0], early.history.len(), "{tag} tol: cycles");
                 assert!(par.stopped_on_tolerance, "{tag}");
                 assert_eq!(sampled(&mut probe), bits(&early.history), "{tag} tol: rel");
+                assert_eq!(bits(&par.history), bits(&early.history), "{tag} tol: history");
                 // No tolerance, recording probe: the check still runs, after
                 // every cycle including the last.
                 let par = solve_mult_threaded(&s, &b, t, T_MAX, None, &probe, env);
@@ -206,11 +220,13 @@ mod tests {
                 assert_eq!(par.grid_corrections[0], T_MAX, "{tag} probe: cycles");
                 assert!(!par.stopped_on_tolerance, "{tag}");
                 assert_eq!(sampled(&mut probe), bits(&fixed.history), "{tag} probe: rel");
+                assert_eq!(bits(&par.history), bits(&fixed.history), "{tag} probe: history");
                 // Neither: exactly T_MAX cycles, nothing checked.
                 let par = solve_mult_threaded(&s, &b, t, T_MAX, None, &NoopProbe, env);
                 assert_eq!(bits(&par.x), bits(&fixed.x), "{tag} plain: x");
                 assert_eq!(par.grid_corrections[0], T_MAX, "{tag} plain: cycles");
-                assert_eq!(par.relres.to_bits(), fixed.final_relres().to_bits(), "{tag} plain");
+                assert_eq!(par.relres.to_bits(), fixed.relres.to_bits(), "{tag} plain");
+                assert!(par.history.is_empty(), "{tag} plain: nothing checked");
             }
         }
     }

@@ -40,7 +40,7 @@ use crate::asynchronous::{
 use crate::krylov::{pcg_probed, VCyclePrec};
 use crate::mult::solve_mult_probed;
 use crate::setup::MgSetup;
-use crate::solver::{SolveError, Solver};
+use crate::solver::{SolveError, SolveReport, Solver};
 use asyncmg_sparse::vecops;
 use asyncmg_telemetry::{
     AttemptRecord, FaultKind, FaultRecord, NoopProbe, Phase, Probe, ResidualSample, SolveTrace,
@@ -415,35 +415,14 @@ pub struct ShardAttempt<'a> {
     pub seed: Option<u64>,
 }
 
-/// What a [`ShardRungDriver`] produced for one [`ShardAttempt`].
-pub struct ShardAttemptOutcome {
-    /// The assembled approximation `dx`.
-    pub x: Vec<f64>,
-    /// Structured outcome of the sharded solve.
-    pub outcome: SolveOutcome,
-    /// Coarse-correction cycles the hub performed.
-    pub corrections: f64,
-    /// Wall-clock duration of the attempt.
-    pub elapsed: Duration,
-    /// The attempt's fault log (crashes, deaths, adoptions, guard trips).
-    pub faults: Vec<FaultRecord>,
-}
-
 /// Executes [`Rung::Sharded`] rungs for a resilient session. Implemented by
 /// `asyncmg-shard` (the core crate cannot depend on it); installed with
 /// [`Solver::shard_driver`](crate::Solver::shard_driver).
 pub trait ShardRungDriver: Sync {
-    /// Runs one sharded attempt.
-    fn run(&self, attempt: &ShardAttempt<'_>) -> ShardAttemptOutcome;
-}
-
-/// What one rung execution produced (on the shifted system `A·dx = r0`).
-struct RungRun {
-    dx: Vec<f64>,
-    outcome: SolveOutcome,
-    corrections: f64,
-    elapsed: Duration,
-    faults: Vec<FaultRecord>,
+    /// Runs one sharded attempt. The session reads the report's `x` (the
+    /// assembled `dx`), `outcome`, `corrects_mean` (the attempt's
+    /// corrections), `elapsed` and `faults`.
+    fn run(&self, attempt: &ShardAttempt<'_>) -> SolveReport;
 }
 
 /// Stable lowercase outcome name (used in the trace JSON schema).
@@ -458,7 +437,7 @@ fn outcome_name(outcome: SolveOutcome) -> &'static str {
 
 /// Executes one ladder rung on the shifted system `A·dx = r0` to relative
 /// residual `attempt_tol` (so the unshifted iterate `x0 + dx` meets the
-/// session tolerance).
+/// session tolerance); the report's `x` is `dx`.
 // `AsyncOptions` is `#[non_exhaustive]`, so fields are set on a default
 // rather than via a struct literal.
 #[allow(clippy::too_many_arguments, clippy::field_reassign_with_default)]
@@ -471,7 +450,7 @@ fn run_rung(
     slice: Option<Duration>,
     fault_failures: u32,
     probe: &dyn Probe,
-) -> RungRun {
+) -> SolveReport {
     let setup = solver.setup;
     match rung {
         Rung::Sharded { shards } => {
@@ -485,14 +464,7 @@ fn run_rung(
                 tolerance: attempt_tol,
                 seed,
             };
-            let out = driver.run(&attempt);
-            RungRun {
-                dx: out.x,
-                outcome: out.outcome,
-                corrections: out.corrections,
-                elapsed: out.elapsed,
-                faults: out.faults,
-            }
+            driver.run(&attempt)
         }
         Rung::AsyncAtomic | Rung::AsyncLock | Rung::SemiAsync => {
             let deterministic = seed.is_some();
@@ -549,40 +521,13 @@ fn run_rung(
                 plan: solver.env.plan.filter(|_| rung.is_async()),
                 clock: None,
             };
-            let res = solve_async(setup, r0, &opts, probe, env);
-            RungRun {
-                dx: res.x,
-                outcome: res.outcome,
-                corrections: res.corrects_mean,
-                elapsed: res.elapsed,
-                faults: res.faults,
-            }
+            solve_async(setup, r0, &opts, probe, env)
         }
-        Rung::SyncMult => {
-            let start = std::time::Instant::now();
-            let res = solve_mult_probed(setup, r0, solver.t_max, Some(attempt_tol), probe);
-            RungRun {
-                outcome: SolveOutcome::classify(res.final_relres(), Some(attempt_tol), &[]),
-                corrections: res.history.len() as f64,
-                dx: res.x,
-                elapsed: start.elapsed(),
-                faults: Vec::new(),
-            }
-        }
+        Rung::SyncMult => solve_mult_probed(setup, r0, solver.t_max, Some(attempt_tol), probe),
         Rung::Pcg => {
-            let start = std::time::Instant::now();
             let mut prec = VCyclePrec::new(setup);
             let iters = solver.t_max.max(100);
-            let res = pcg_probed(setup.a(0), r0, attempt_tol, iters, &mut prec, probe);
-            // The recurrence residual of the last iteration (1 before any).
-            let relres = res.history.last().copied().unwrap_or(1.0);
-            RungRun {
-                outcome: SolveOutcome::classify(relres, Some(attempt_tol), &[]),
-                corrections: res.history.len() as f64,
-                dx: res.x,
-                elapsed: start.elapsed(),
-                faults: Vec::new(),
-            }
+            pcg_probed(setup.a(0), r0, attempt_tol, iters, &mut prec, probe)
         }
     }
 }
@@ -712,7 +657,7 @@ pub(crate) fn run_session_goal(
             let ckpt_start = Instant::now();
             let mut xa = x0;
             for i in 0..n {
-                xa[i] += run.dx[i];
+                xa[i] += run.x[i];
             }
             let mut ax = vec![0.0; n];
             a0.spmv(&xa, &mut ax);
@@ -779,7 +724,7 @@ pub(crate) fn run_session_goal(
             rung,
             relres: rel,
             outcome,
-            corrections: run.corrections,
+            corrections: run.corrects_mean,
             elapsed: run.elapsed,
             faults: run.faults,
             warm_start,

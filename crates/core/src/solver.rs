@@ -36,8 +36,7 @@
 
 use crate::additive::{solve_additive_probed, AdditiveMethod};
 use crate::asynchronous::{
-    solve_async, AsyncOptions, AsyncResult, RecoveryOptions, ResComp, SolveOutcome, StopCriterion,
-    WriteMode,
+    solve_async, AsyncOptions, RecoveryOptions, ResComp, SolveOutcome, StopCriterion, WriteMode,
 };
 use crate::mult::solve_mult_probed;
 use crate::parallel_mult::solve_mult_threaded;
@@ -84,23 +83,37 @@ impl Method {
     }
 }
 
-/// The outcome of a [`Solver`] run, common to all backends.
+/// The outcome of one solve, common to all backends: the [`Solver`]
+/// builder, the direct entry points ([`solve_mult_probed`],
+/// [`solve_additive_probed`], [`solve_mult_threaded`], [`solve_async`],
+/// [`pcg`](crate::pcg)) and the sharded ladder rung.
 #[derive(Clone, Debug)]
 pub struct SolveReport {
     /// The final approximation.
     pub x: Vec<f64>,
-    /// Final relative residual 2-norm (recomputed exactly after the run).
+    /// Final relative residual 2-norm: the last per-cycle residual of the
+    /// sequential backends (1 before any cycle), the exact residual
+    /// recomputed after the run by the threaded ones, and the recurrence
+    /// residual of the last CG iteration for PCG.
     pub relres: f64,
     /// Whether the tolerance (if one was set) was reached: `relres` is
     /// below it.
     pub converged: bool,
-    /// Corrections (or cycles) performed by each grid.
+    /// Whether the solve stopped because the tolerance was met: an
+    /// asynchronous run sets it only once the exact residual of the
+    /// quiescent iterate confirmed a team's candidate stop, a synchronous
+    /// or sequential run at the cycle-end check that saw the residual below
+    /// target. Either way it implies `relres < tol`.
+    pub stopped_on_tolerance: bool,
+    /// Corrections (or cycles) performed by each grid. Mult and PCG, whose
+    /// cycle or iteration is one event, report one entry.
     pub grid_corrections: Vec<usize>,
     /// Mean corrections per grid (the paper's "Corrects" column).
     pub corrects_mean: f64,
-    /// Per-cycle relative residual history, when the backend computes one
-    /// (sequential backends always; threaded backends only when a tolerance
-    /// or probe makes them check).
+    /// Per-cycle relative residual history: always filled by the
+    /// sequential backends (per CG iteration, the recurrence residual, for
+    /// PCG), by threaded Mult only when a tolerance or a recording probe
+    /// makes its master check, and never by asynchronous runs.
     pub history: Vec<f64>,
     /// Wall-clock solve time.
     pub elapsed: Duration,
@@ -112,6 +125,37 @@ pub struct SolveReport {
     pub faults: Vec<FaultRecord>,
     /// The recorded telemetry, when [`Solver::with_trace`] was used.
     pub trace: Option<SolveTrace>,
+}
+
+impl SolveReport {
+    /// The report of a sequential backend (Mult, additive, PCG): the cycle
+    /// count is the history length, identical on each of `n_grids` grids,
+    /// and the per-cycle tolerance check is exact (no racy reads), so the
+    /// last history entry is authoritative and the run stopped on the
+    /// tolerance iff it is below it.
+    pub(crate) fn sequential(
+        x: Vec<f64>,
+        history: Vec<f64>,
+        n_grids: usize,
+        tolerance: Option<f64>,
+        elapsed: Duration,
+    ) -> SolveReport {
+        let cycles = history.len();
+        let relres = history.last().copied().unwrap_or(1.0);
+        SolveReport {
+            x,
+            relres,
+            converged: tolerance.is_none_or(|t| relres < t),
+            stopped_on_tolerance: tolerance.is_some_and(|t| relres < t),
+            grid_corrections: vec![cycles; n_grids],
+            corrects_mean: cycles as f64,
+            history,
+            elapsed,
+            outcome: SolveOutcome::classify(relres, tolerance, &[]),
+            faults: Vec::new(),
+            trace: None,
+        }
+    }
 }
 
 /// A validation failure detected by [`Solver::try_run`] before any solve
@@ -509,78 +553,15 @@ impl<'a> Solver<'a> {
 
     /// Runs with an explicit probe (monomorphised per probe type).
     fn run_with<P: Probe + ?Sized>(&self, b: &[f64], probe: &P) -> SolveReport {
+        let (setup, t_max, tol) = (self.setup, self.t_max, self.tolerance);
         match (self.threads, self.method.additive()) {
-            (0, None) => {
-                let start = std::time::Instant::now();
-                let res = solve_mult_probed(self.setup, b, self.t_max, self.tolerance, probe);
-                sequential_report(res, start.elapsed(), 1, self.tolerance)
-            }
-            (0, Some(method)) => {
-                let start = std::time::Instant::now();
-                let res =
-                    solve_additive_probed(self.setup, method, b, self.t_max, self.tolerance, probe);
-                sequential_report(res, start.elapsed(), self.setup.n_levels(), self.tolerance)
-            }
-            (threads, None) => {
-                let res = solve_mult_threaded(
-                    self.setup,
-                    b,
-                    threads,
-                    self.t_max,
-                    self.tolerance,
-                    probe,
-                    self.env,
-                );
-                threaded_report(res, self.tolerance)
-            }
+            (0, None) => solve_mult_probed(setup, b, t_max, tol, probe),
+            (0, Some(method)) => solve_additive_probed(setup, method, b, t_max, tol, probe),
+            (threads, None) => solve_mult_threaded(setup, b, threads, t_max, tol, probe, self.env),
             (_, Some(method)) => {
-                let opts = self.async_options(method);
-                let res = solve_async(self.setup, b, &opts, probe, self.env);
-                threaded_report(res, self.tolerance)
+                solve_async(setup, b, &self.async_options(method), probe, self.env)
             }
         }
-    }
-}
-
-/// Report for the sequential backends: the cycle count is the history
-/// length, identical on every grid, and the per-cycle tolerance check is
-/// exact (no racy reads), so `relres < tol` is authoritative.
-fn sequential_report(
-    res: crate::additive::SolveResult,
-    elapsed: Duration,
-    n_grids: usize,
-    tolerance: Option<f64>,
-) -> SolveReport {
-    let cycles = res.history.len();
-    let relres = res.final_relres();
-    SolveReport {
-        x: res.x,
-        relres,
-        converged: tolerance.is_none_or(|t| relres < t),
-        grid_corrections: vec![cycles; n_grids],
-        corrects_mean: cycles as f64,
-        history: res.history,
-        elapsed,
-        outcome: SolveOutcome::classify(relres, tolerance, &[]),
-        faults: Vec::new(),
-        trace: None,
-    }
-}
-
-/// Report for the threaded backends, whose outcome the backend already
-/// classified: `converged` is an exact final residual below the target.
-fn threaded_report(res: AsyncResult, tolerance: Option<f64>) -> SolveReport {
-    SolveReport {
-        converged: tolerance.is_none_or(|t| res.relres < t),
-        x: res.x,
-        relres: res.relres,
-        grid_corrections: res.grid_corrections,
-        corrects_mean: res.corrects_mean,
-        history: Vec::new(),
-        elapsed: res.elapsed,
-        outcome: res.outcome,
-        faults: res.faults,
-        trace: None,
     }
 }
 
@@ -637,11 +618,17 @@ mod tests {
     fn trace_collection_matches_counters() {
         let s = setup_n(6);
         let b = random_rhs(s.n(), 4);
-        let report =
-            Solver::new(&s).method(Method::Multadd).threads(4).t_max(10).with_trace().run(&b);
-        let trace = report.trace.expect("with_trace attaches a trace");
-        assert_eq!(trace.grid_corrections(), report.grid_corrections);
-        assert!(!trace.residual_history.is_empty());
+        // Sequential Mult, sequential Multadd, threaded Mult, async Multadd.
+        for (method, threads) in
+            [(Method::Mult, 0), (Method::Multadd, 0), (Method::Mult, 4), (Method::Multadd, 4)]
+        {
+            let what = format!("{} threads={threads}", method.name());
+            let report =
+                Solver::new(&s).method(method).threads(threads).t_max(10).with_trace().run(&b);
+            let trace = report.trace.expect("with_trace attaches a trace");
+            assert_eq!(trace.grid_corrections(), report.grid_corrections, "{what}");
+            assert!(!trace.residual_history.is_empty(), "{what}");
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use crate::fingerprint::fingerprint_run;
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
-    solve_async, AdditiveMethod, AsyncOptions, AsyncResult, MgOptions, MgSetup, RecoveryOptions,
-    ResComp, StopCriterion, WriteMode,
+    solve_async, AdditiveMethod, AsyncOptions, MgOptions, MgSetup, RecoveryOptions, ResComp,
+    SolveReport, StopCriterion, WriteMode,
 };
 use asyncmg_problems::elasticity::elasticity_beam;
 use asyncmg_problems::rhs::random_rhs;
@@ -328,7 +328,7 @@ impl FuzzCase {
 /// The outcome of one schedule-controlled run.
 pub struct CaseRun {
     /// The solver result (solution, residual, correction counts).
-    pub result: AsyncResult,
+    pub result: SolveReport,
     /// The recorded telemetry trace.
     pub trace: asyncmg_telemetry::SolveTrace,
     /// The scheduler's decision sequence (worker ranks in decision order).

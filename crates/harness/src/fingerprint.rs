@@ -7,7 +7,7 @@
 //! event streams, phase occurrence counts — is a pure function of the
 //! schedule and is folded into a 64-bit FNV-1a digest.
 
-use asyncmg_core::AsyncResult;
+use asyncmg_core::SolveReport;
 use asyncmg_telemetry::{FaultKind, SolveTrace};
 
 /// The FNV-1a digest engine, re-exported from `asyncmg-sparse` where it now
@@ -24,7 +24,7 @@ pub use asyncmg_sparse::Fnv;
 /// Two runs under the same [`VirtualSched`](asyncmg_threads::VirtualSched)
 /// seed produce equal fingerprints; a different interleaving that changes
 /// any floating-point accumulation order changes the fingerprint.
-pub fn fingerprint_run(result: &AsyncResult, trace: &SolveTrace) -> u64 {
+pub fn fingerprint_run(result: &SolveReport, trace: &SolveTrace) -> u64 {
     let mut h = Fnv::new();
     h.write_u64(result.x.len() as u64);
     for &v in &result.x {

@@ -17,7 +17,7 @@ use crate::recovery::ShardRecovery;
 use crate::solve::{solve_sharded, ShardOptions};
 use crate::transport::Transport;
 use crate::virtual_net::VirtualTransport;
-use asyncmg_core::{Rung, ShardAttempt, ShardAttemptOutcome, ShardRungDriver};
+use asyncmg_core::{Rung, ShardAttempt, ShardRungDriver, SolveReport};
 use asyncmg_telemetry::NoopProbe;
 use asyncmg_threads::{ExecEnv, VirtualClock, VirtualSched};
 
@@ -37,7 +37,7 @@ pub struct ShardedRungDriver {
 }
 
 impl ShardRungDriver for ShardedRungDriver {
-    fn run(&self, at: &ShardAttempt<'_>) -> ShardAttemptOutcome {
+    fn run(&self, at: &ShardAttempt<'_>) -> SolveReport {
         let n_shards = (at.shards as usize).clamp(1, at.setup.n());
         let opts = ShardOptions {
             n_shards,
@@ -64,12 +64,20 @@ impl ShardRungDriver for ShardedRungDriver {
             }
         };
         let result = solve_sharded(at.setup, at.b, &opts, net, &NoopProbe, env);
-        ShardAttemptOutcome {
+        // The hub's coarse-correction cycles are the attempt's corrections.
+        let cycles = result.hub_cycles as usize;
+        SolveReport {
             x: result.x,
-            outcome: result.outcome,
-            corrections: result.hub_cycles as f64,
+            relres: result.relres,
+            converged: result.relres < at.tolerance,
+            stopped_on_tolerance: result.stopped_on_tolerance,
+            grid_corrections: vec![cycles],
+            corrects_mean: cycles as f64,
+            history: Vec::new(),
             elapsed: result.elapsed,
+            outcome: result.outcome,
             faults: result.faults,
+            trace: result.trace,
         }
     }
 }

@@ -261,7 +261,7 @@ impl SolveTrace {
         );
     }
 
-    /// Per-grid correction counts (the shape of `AsyncResult::grid_corrections`).
+    /// Per-grid correction counts (the shape of `SolveReport::grid_corrections`).
     pub fn grid_corrections(&self) -> Vec<usize> {
         self.grids.iter().map(|g| g.corrections as usize).collect()
     }

@@ -24,7 +24,7 @@ fn main() {
     let setup = MgSetup::new(h, MgOptions::default());
 
     let sync = solve_mult_probed(&setup, &b, 20, None, &NoopProbe);
-    println!("synchronous Mult after 20 V(1,1)-cycles: {:9.2e}\n", sync.final_relres());
+    println!("synchronous Mult after 20 V(1,1)-cycles: {:9.2e}\n", sync.relres);
 
     println!("semi-async (δ = 0), relres vs minimum update probability α:");
     for method in [AdditiveMethod::Afacx, AdditiveMethod::Multadd] {

@@ -47,6 +47,6 @@ fn main() {
         opts.t_max = 40;
         opts.n_threads = 4;
         let asy = solve_async(&setup, &b, &opts, &NoopProbe, ExecEnv::default());
-        println!("{:<12} {:>14.2e} {:>16.2e}", kind.name(), mult.final_relres(), asy.relres);
+        println!("{:<12} {:>14.2e} {:>16.2e}", kind.name(), mult.relres, asy.relres);
     }
 }

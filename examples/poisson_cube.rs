@@ -32,14 +32,14 @@ fn main() {
 
     println!("{:<38} {:>10} {:>9}", "method", "relres", "time");
     let seq = solve_mult_probed(&setup, &b, t_max, None, &NoopProbe);
-    println!("{:<38} {:>10.2e} {:>9}", "Mult (sequential)", seq.final_relres(), "-");
+    println!("{:<38} {:>10.2e} {:>9}", "Mult (sequential)", seq.relres, "-");
     let env = ExecEnv::default();
     let m = solve_mult_threaded(&setup, &b, threads, t_max, None, &NoopProbe, env);
     println!("{:<38} {:>10.2e} {:>8.1?}", "sync Mult (threaded)", m.relres, m.elapsed);
 
     let seq_add =
         solve_additive_probed(&setup, AdditiveMethod::Multadd, &b, t_max, None, &NoopProbe);
-    println!("{:<38} {:>10.2e} {:>9}", "sync Multadd (sequential)", seq_add.final_relres(), "-");
+    println!("{:<38} {:>10.2e} {:>9}", "sync Multadd (sequential)", seq_add.relres, "-");
 
     // AsyncOptions is #[non_exhaustive]: derive each variant from the default.
     let cfg = |f: &dyn Fn(&mut AsyncOptions)| {

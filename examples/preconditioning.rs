@@ -39,7 +39,7 @@ fn main() {
     let bpx_solver = solve_additive_probed(&setup, AdditiveMethod::Bpx, &b, 20, None, &NoopProbe);
     println!(
         "BPX as a *solver*      : relres {:9.2e} after 20 cycles (diverges — Section II.B)",
-        bpx_solver.final_relres()
+        bpx_solver.relres
     );
 
     println!("\nCG to relres < {tol:.0e}:");

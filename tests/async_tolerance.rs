@@ -8,8 +8,8 @@
 
 use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::{
-    solve_async, AdditiveMethod, AsyncOptions, AsyncResult, ExecEnv, MgOptions, MgSetup, NoopProbe,
-    RecoveryOptions, ResComp, SolveOutcome, StopCriterion, WriteMode,
+    solve_async, AdditiveMethod, AsyncOptions, ExecEnv, MgOptions, MgSetup, NoopProbe,
+    RecoveryOptions, ResComp, SolveOutcome, SolveReport, StopCriterion, WriteMode,
 };
 use asyncmg_problems::elasticity::elasticity_beam;
 use asyncmg_problems::rhs::random_rhs;
@@ -159,7 +159,7 @@ const RESUMING: [(ResComp, u64); 2] = [(ResComp::Local, 9), (ResComp::Global, 11
 const RESUME_DELAY: ReadDelay = ReadDelay { prob: 0.5, max_steps: 40 };
 const RESUME_THREADS: usize = 6;
 
-fn resume_run(res_comp: ResComp, seed: u64) -> (AsyncResult, usize, usize) {
+fn resume_run(res_comp: ResComp, seed: u64) -> (SolveReport, usize, usize) {
     let setup = setup_7pt(6);
     let b = random_rhs(setup.n(), 3);
     let mut opts = tol_opts(200, RESUME_THREADS);

@@ -2,12 +2,10 @@
 
 use asyncmg_apps::paper_setup;
 use asyncmg_core::additive::{solve_additive_probed, AdditiveMethod};
-use asyncmg_core::asynchronous::{
-    solve_async, AsyncOptions, AsyncResult, ResComp, StopCriterion, WriteMode,
-};
+use asyncmg_core::asynchronous::{solve_async, AsyncOptions, ResComp, StopCriterion, WriteMode};
 use asyncmg_core::mult::solve_mult_probed;
 use asyncmg_core::parallel_mult::solve_mult_threaded;
-use asyncmg_core::{ExecEnv, MgSetup, NoopProbe};
+use asyncmg_core::{ExecEnv, MgSetup, NoopProbe, SolveReport};
 use asyncmg_problems::{rhs::random_rhs, TestSet};
 use asyncmg_threads::VirtualSched;
 
@@ -30,7 +28,7 @@ fn async_opts(f: impl FnOnce(&mut AsyncOptions)) -> AsyncOptions {
 
 /// The accuracy a fixed correction count reaches is the schedule's to
 /// decide, so accuracy thresholds are checked under a seeded scheduler.
-fn solve_seeded(s: &MgSetup, b: &[f64], opts: &AsyncOptions) -> AsyncResult {
+fn solve_seeded(s: &MgSetup, b: &[f64], opts: &AsyncOptions) -> SolveReport {
     let sched = VirtualSched::new(1);
     solve_async(s, b, opts, &NoopProbe, ExecEnv { sched: Some(&sched), ..Default::default() })
 }
@@ -50,7 +48,7 @@ fn mult_converges_on_all_test_sets() {
         let s = paper_setup(set, 8);
         let b = random_rhs(s.n(), 1);
         let res = solve_mult_probed(&s, &b, cycles, None, &NoopProbe);
-        assert!(res.final_relres() < tol, "{}: {}", set.name(), res.final_relres());
+        assert!(res.relres < tol, "{}: {}", set.name(), res.relres);
     }
 }
 
@@ -62,7 +60,7 @@ fn sync_multadd_converges_on_all_test_sets() {
         let b = random_rhs(s.n(), 2);
         let res =
             solve_additive_probed(&s, AdditiveMethod::Multadd, &b, cycles + 20, None, &NoopProbe);
-        assert!(res.final_relres() < tol * 10.0, "{}: {}", set.name(), res.final_relres());
+        assert!(res.relres < tol * 10.0, "{}: {}", set.name(), res.relres);
     }
 }
 
@@ -88,7 +86,7 @@ fn afacx_converges_on_laplacians() {
         let s = paper_setup(set, 8);
         let b = random_rhs(s.n(), 4);
         let res = solve_additive_probed(&s, AdditiveMethod::Afacx, &b, 80, None, &NoopProbe);
-        assert!(res.final_relres() < 1e-5, "{}: {}", set.name(), res.final_relres());
+        assert!(res.relres < 1e-5, "{}: {}", set.name(), res.relres);
     }
 }
 
@@ -156,12 +154,12 @@ fn threaded_and_sequential_mult_agree_end_to_end() {
     let b = random_rhs(s.n(), 6);
     let seq = solve_mult_probed(&s, &b, 10, None, &NoopProbe);
     let par = solve_mult_threaded(&s, &b, 3, 10, None, &NoopProbe, ExecEnv::default());
-    let denom = seq.final_relres().max(1e-300);
+    let denom = seq.relres.max(1e-300);
     assert!(
-        ((par.relres - seq.final_relres()) / denom).abs() < 1e-8,
+        ((par.relres - seq.relres) / denom).abs() < 1e-8,
         "threaded {} vs sequential {}",
         par.relres,
-        seq.final_relres()
+        seq.relres
     );
 }
 

@@ -22,8 +22,7 @@ fn all_three_models_coincide_when_synchronous() {
     // to the synchronous additive method.
     let s = paper_setup(TestSet::TwentySevenPt, 7);
     let b = random_rhs(s.n(), 1);
-    let sync =
-        solve_additive_probed(&s, AdditiveMethod::Multadd, &b, 10, None, &NoopProbe).final_relres();
+    let sync = solve_additive_probed(&s, AdditiveMethod::Multadd, &b, 10, None, &NoopProbe).relres;
     for model in [ModelKind::SemiAsync, ModelKind::FullAsyncSolution, ModelKind::FullAsyncResidual]
     {
         let opts = model_opts(|o| {

@@ -9,7 +9,7 @@ use asyncmg_amg::{build_hierarchy, AmgOptions};
 use asyncmg_core::additive::{solve_additive_probed, AdditiveMethod};
 use asyncmg_core::mult::solve_mult_probed;
 use asyncmg_core::setup::{MgOptions, MgSetup};
-use asyncmg_core::NoopProbe;
+use asyncmg_core::{NoopProbe, SolveReport};
 use asyncmg_problems::{rhs::random_rhs, stencil::laplacian_27pt, stencil::laplacian_7pt};
 use asyncmg_smoothers::SmootherKind;
 
@@ -21,16 +21,11 @@ fn setup(a: asyncmg_sparse::Csr, omega: f64) -> MgSetup {
     MgSetup::new(h, opts)
 }
 
-fn solve_mult(s: &MgSetup, b: &[f64], t: usize) -> asyncmg_core::additive::SolveResult {
+fn solve_mult(s: &MgSetup, b: &[f64], t: usize) -> SolveReport {
     solve_mult_probed(s, b, t, None, &NoopProbe)
 }
 
-fn solve_additive(
-    s: &MgSetup,
-    m: AdditiveMethod,
-    b: &[f64],
-    t: usize,
-) -> asyncmg_core::additive::SolveResult {
+fn solve_additive(s: &MgSetup, m: AdditiveMethod, b: &[f64], t: usize) -> SolveReport {
     solve_additive_probed(s, m, b, t, None, &NoopProbe)
 }
 

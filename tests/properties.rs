@@ -117,7 +117,7 @@ proptest! {
         let res =
             asyncmg_core::mult::solve_mult_probed(&s, &bvec, 15, None, &asyncmg_core::NoopProbe);
         // Diagonally dominant + damped Jacobi ⇒ convergent cycle.
-        prop_assert!(res.final_relres() < 0.9, "relres {}", res.final_relres());
+        prop_assert!(res.relres < 0.9, "relres {}", res.relres);
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn solver_matches_direct_sequential_mult_exactly() {
     let report = Solver::new(&setup).method(Method::Mult).t_max(10).run(&b);
     let direct = asyncmg_core::solve_mult_probed(&setup, &b, 10, None, &NoopProbe);
     assert_eq!(report.x, direct.x);
-    assert_eq!(report.relres, direct.final_relres());
+    assert_eq!(report.relres, direct.relres);
 }
 
 /// `NoopProbe` must not meaningfully slow the async solver. Wall-clock
